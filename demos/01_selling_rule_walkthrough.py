@@ -4,7 +4,7 @@ The rule: when a new bid arrives, the highest remaining bid is executed,
 unless the new bid is at least as high - then it just joins the queue.
 """
 
-from soc_auction import Rule, new_engine, run_sequence
+from soc_auction import AuctionEngine, Rule, run_sequence
 
 PRICES = [14, 15, 18, 13, 16, 12, 10]
 
@@ -13,7 +13,7 @@ def main():
     print("bids in arrival order:", PRICES)
     print()
 
-    eng = new_engine(Rule.CLASSIC)
+    eng = AuctionEngine(Rule.CLASSIC)
     for price in PRICES:
         sale = eng.submit_bid(price)
         pool = sorted(eng.remaining_prices().tolist(), reverse=True)

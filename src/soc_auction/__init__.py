@@ -8,11 +8,10 @@ from .analytics import (AvalancheSet, B_DEFAULT, DistributionChecks, TailFit,
                         survival_function, theory_summary)
 from .distributions import (E_INV, Exponential, LogNormal, Pareto, PriceModel,
                             SeedSpec, Truncated, Uniform, critical_price,
-                            parse_model, poisson_arrival_times, quantile,
-                            sample, tail_mean, tail_moment2, tail_moment_quad,
-                            uniform_stream)
+                            parse_model, quantile, sample, tail_mean,
+                            tail_moment2, tail_moment_quad, uniform_stream)
 from .engine import (AuctionEngine, Bid, Rule, RunResult, SaleRecord,
-                     new_engine, oracle_run, run_sequence)
+                     oracle_run, run_sequence)
 from .errors import InfiniteMomentError, InsufficientDataError, ModelSpecError
 from .montecarlo import (EstimateWithCI, NormalityDiagnostics, ReplicaResult,
                          estimate_af, estimate_b, estimate_pc, run_replicas,
@@ -29,8 +28,8 @@ __all__ = [
     "Truncated", "Uniform", "critical_price", "empirical_critical_price",
     "empirical_distribution_checks", "estimate_af", "estimate_b",
     "estimate_pc", "fit_power_tail", "ks_critical_value", "ks_statistic",
-    "new_engine", "oracle_run", "parse_model", "poisson_arrival_times",
-    "quantile", "run_replicas", "run_sequence", "sample",
-    "segment_avalanches", "survival_function", "tail_mean", "tail_moment2",
-    "tail_moment_quad", "theory_summary", "ti_normality", "uniform_stream",
+    "oracle_run", "parse_model", "quantile", "run_replicas", "run_sequence",
+    "sample", "segment_avalanches", "survival_function", "tail_mean",
+    "tail_moment2", "tail_moment_quad", "theory_summary", "ti_normality",
+    "uniform_stream",
 ]

@@ -115,16 +115,6 @@ def empirical_critical_price(prices, pc: float = E_INV) -> float:
 # Goodness-of-fit of sale / frozen price distributions
 # =====================================================================
 
-def _prices_of(obj) -> np.ndarray:
-    """Accept a price array, a list of records with .price, or a RunResult-like."""
-    if hasattr(obj, "sale_prices"):
-        return np.asarray(obj.sale_prices, dtype=float)
-    arr = np.asarray(obj)
-    if arr.dtype == object or (arr.size and not np.issubdtype(arr.dtype, np.number)):
-        return np.array([r.price for r in obj], dtype=float)
-    return arr.astype(float, copy=False)
-
-
 def ks_statistic(sample: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance against a continuous cdf."""
     s = np.sort(np.asarray(sample, dtype=float))
@@ -168,8 +158,8 @@ def empirical_distribution_checks(sales, remaining, model: PriceModel,
     Also reports the fraction of sales at or below xc, which should vanish
     for long runs.
     """
-    sale_prices = _prices_of(sales)
-    rem_prices = _prices_of(remaining)
+    sale_prices = np.asarray(sales, dtype=float)
+    rem_prices = np.asarray(remaining, dtype=float)
     if len(sale_prices) == 0:
         raise ValueError("no sales: run too short for distribution checks")
 
@@ -221,7 +211,7 @@ def segment_avalanches(sales, xc: float) -> AvalancheSet:
 
     A sale exactly at xc counts as a delimiter (at-or-below side).
     """
-    prices = _prices_of(sales)
+    prices = np.asarray(sales, dtype=float)
     n = len(prices)
     empty = np.empty(0, dtype=np.int64)
     if n == 0:

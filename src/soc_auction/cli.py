@@ -13,12 +13,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import analytics
+from . import analytics, montecarlo
 from .distributions import (E_INV, PriceModel, SeedSpec, Truncated,
                             critical_price, parse_model, sample)
 from .engine import Rule, RunResult, run_sequence
@@ -101,8 +100,9 @@ def _load_prices_file(path: str) -> np.ndarray:
             v = float(line)
         except ValueError:
             raise ModelSpecError(f"{path}:{lineno}: not a number: '{line}'")
-        if not v > 0:
-            raise ModelSpecError(f"{path}:{lineno}: prices must be > 0, got {v}")
+        if not 0 < v < np.inf:
+            raise ModelSpecError(
+                f"{path}:{lineno}: prices must be finite and > 0, got {v}")
         values.append(v)
     return np.asarray(values, dtype=float)
 
@@ -207,17 +207,25 @@ def cmd_theory(ns) -> int:
     return EXIT_OK
 
 
+def _avalanche_survival(sale_prices: np.ndarray, xc: float, k_min: int,
+                        k_max: int) -> tuple[analytics.AvalancheSet, tuple]:
+    """Complete avalanches of a run and their survival on a log grid."""
+    avalanches = analytics.segment_avalanches(sale_prices, xc)
+    if avalanches.n_avalanches == 0:
+        raise InsufficientDataError(
+            "no complete avalanches: run too short or threshold too extreme")
+    survival = analytics.survival_function(
+        avalanches.durations, grid="log", k_min=k_min, k_max=k_max)
+    return avalanches, survival
+
+
 def cmd_avalanches(ns) -> int:
     seed = _parse_seed(ns)
     fmts = _formats(ns)
     result, model, prices = _get_run(ns, seed)
     xc = _xc_for(model, prices, ns.pc)
-    avalanches = analytics.segment_avalanches(result.sale_prices, xc)
-    if avalanches.n_avalanches == 0:
-        raise InsufficientDataError(
-            "no complete avalanches: run too short or threshold too extreme")
-    survival = analytics.survival_function(
-        avalanches.durations, grid="log", k_min=ns.kmin, k_max=ns.kmax)
+    avalanches, survival = _avalanche_survival(result.sale_prices, xc,
+                                               ns.kmin, ns.kmax)
     out = _out_dir(ns)
 
     # durations and survival are valid even when the tail fit is not
@@ -277,11 +285,7 @@ def cmd_replicate(ns) -> int:
         replicas = ns.replicas if ns.replicas is not None else FIG1B_REPLICAS
         grid = np.asarray(FIG1B_GRID, dtype=np.int64)
         jobs = [(model, FIG1B_N, seed, r, grid) for r in range(replicas)]
-        if ns.threads > 1:
-            with ProcessPoolExecutor(max_workers=ns.threads) as pool:
-                tis = np.array(list(pool.map(_fig1b_replica, jobs, chunksize=8)))
-        else:
-            tis = np.array([_fig1b_replica(j) for j in jobs])
+        tis = np.array(montecarlo.map_replicas(_fig1b_replica, jobs, ns.threads))
         mean = tis.mean(axis=0)
         sd = tis.std(axis=0, ddof=1)
         theory_line = rate * grid
@@ -306,9 +310,8 @@ def cmd_replicate(ns) -> int:
         seed = ns.seed if ns.seed is not None else FIG2_SEED
         prices = sample(model, SeedSpec(seed, 0), FIG2_N)
         result = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
-        avalanches = analytics.segment_avalanches(result.sale_prices, xc)
-        survival = analytics.survival_function(
-            avalanches.durations, grid="log", k_min=FIG2_KMIN, k_max=FIG2_KMAX)
+        avalanches, survival = _avalanche_survival(result.sale_prices, xc,
+                                                   FIG2_KMIN, FIG2_KMAX)
         fit = analytics.fit_power_tail(survival, FIG2_KMIN, FIG2_KMAX,
                                        durations=avalanches.durations,
                                        seed=seed)
@@ -344,8 +347,6 @@ def _add_run_flags(p: argparse.ArgumentParser, with_model=True) -> None:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", default="csv,json",
                    help="comma list from {csv,json} (default both)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for replica parallelism (results unchanged)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override the canonical master seed")
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for fig1b replicas (results unchanged)")
     p.set_defaults(func=cmd_replicate)
 
     return parser

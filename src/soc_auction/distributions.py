@@ -422,19 +422,6 @@ def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
     return val
 
 
-def poisson_arrival_times(n: int, rate: float, seed: SeedSpec) -> np.ndarray:
-    """Arrival timestamps of a constant-rate Poisson stream.
-
-    Pure event-log metadata: the selling rule is order-driven and never
-    reads these.
-    """
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    u = uniform_stream(seed, n)
-    gaps = -np.log1p(-u) / rate
-    return np.cumsum(gaps)
-
-
 # =====================================================================
 # Textual model specifiers
 # =====================================================================

@@ -11,6 +11,12 @@ a long descent executes one maximum per arrival). Calibrates to a critical
 fraction of about one half.
 
 Accept-all baseline: every bid is immediately a sale of itself.
+
+`AuctionEngine` takes one bid at a time; `run_sequence` folds a whole price
+list in one heap loop that serves both comparison rules. `oracle_run`
+rescans the pool at every step and shares no rule code with them: it is
+the independent reference the tests compare against. Prices must be finite
+and > 0.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ class Bid:
     """One offered price, in arrival order (1-based index)."""
     index: int
     price: float
-    timestamp: Optional[float] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +74,6 @@ class AuctionEngine:
         self._heap: list[tuple[float, int]] = []  # (-price, index)
         self._income = 0.0
         self._income_carry = 0.0
-        self._timestamps: dict[int, float] = {}
 
     @property
     def total_income(self) -> float:
@@ -88,61 +92,41 @@ class AuctionEngine:
             self._income_carry += (y - t) + self._income
         self._income = t
 
-    def submit_bid(self, price: float, timestamp: Optional[float] = None) -> Optional[SaleRecord]:
+    def submit_bid(self, price: float) -> Optional[SaleRecord]:
         """Process one arriving bid; returns the SaleRecord if a sale fired."""
-        if not price > 0:
-            raise ValueError(f"bid price must be > 0, got {price}")
-        heap = self._heap
+        if not 0 < price < math.inf:
+            raise ValueError(f"bid price must be finite and > 0, got {price}")
         i = self.bids_seen + 1
-        rule = self.rule
-        sale = None
-
-        if rule is Rule.ACCEPT_ALL:
-            self.bids_seen = i
+        self.bids_seen = i
+        if self.rule is Rule.ACCEPT_ALL:
             self.accepted_count += 1
             self._add_income(price)
             return SaleRecord(self.accepted_count, price, i, i)
 
-        if rule is Rule.CLASSIC:
-            if heap and price < -heap[0][0]:
-                negz, j = heapq.heapreplace(heap, (-price, i))
-                sale = self._emit(-negz, j, i)
-            else:
-                heapq.heappush(heap, (-price, i))
-        else:  # TWO_CONSECUTIVE
-            if heap and price < -heap[0][0] and self.below_counter >= 1:
-                negz, j = heapq.heapreplace(heap, (-price, i))
-                sale = self._emit(-negz, j, i)
-            else:
-                heapq.heappush(heap, (-price, i))
+        heap = self._heap
+        two_consecutive = self.rule is Rule.TWO_CONSECUTIVE
+        sale = None
+        if (self.below_counter or not two_consecutive) and heap and price < -heap[0][0]:
+            negz, j = heapq.heapreplace(heap, (-price, i))
+            self.accepted_count += 1
+            self._add_income(-negz)
+            sale = SaleRecord(self.accepted_count, -negz, j, i)
+        else:
+            heapq.heappush(heap, (-price, i))
+        if two_consecutive:
             # the arrival just inserted is "below" unless it is now the max
             self.below_counter = 1 if price < -heap[0][0] else 0
-
-        self.bids_seen = i
-        if timestamp is not None:
-            self._timestamps[i] = timestamp
         return sale
-
-    def _emit(self, z: float, accepted_idx: int, trigger_idx: int) -> SaleRecord:
-        self.accepted_count += 1
-        self._add_income(z)
-        self._timestamps.pop(accepted_idx, None)
-        return SaleRecord(self.accepted_count, z, accepted_idx, trigger_idx)
 
     def remaining_bids(self) -> list[Bid]:
         """Remaining pool as Bid objects, sorted by arrival index."""
         items = sorted(self._heap, key=lambda t: t[1])
-        return [Bid(j, -negp, self._timestamps.get(j)) for negp, j in items]
+        return [Bid(j, -negp) for negp, j in items]
 
     def remaining_prices(self) -> np.ndarray:
         """Remaining prices sorted by arrival index."""
         items = sorted(self._heap, key=lambda t: t[1])
         return np.array([-negp for negp, _ in items], dtype=float)
-
-
-def new_engine(rule: Rule | str = Rule.CLASSIC) -> AuctionEngine:
-    """Fresh engine: no bids seen, no income, empty pool."""
-    return AuctionEngine(rule)
 
 
 # =====================================================================
@@ -154,7 +138,9 @@ class RunResult:
     """Outputs of folding the selling rule over a full price sequence.
 
     Array-first so multi-million-bid runs stay cheap; `sales` and
-    `remaining` materialize record objects on demand.
+    `remaining` materialize record objects on demand. `ntilde[k-1]` is the
+    number of sales after the k-th arrival; `run_sequence` fills it only
+    when called with collect_trajectory=True and leaves it empty otherwise.
     """
 
     rule: Rule
@@ -166,7 +152,6 @@ class RunResult:
     remaining_prices: np.ndarray
     remaining_indices: np.ndarray
     total_income: float
-    timestamps: Optional[np.ndarray] = None
     _sales: Optional[list[SaleRecord]] = field(default=None, repr=False)
     _remaining: Optional[list[Bid]] = field(default=None, repr=False)
 
@@ -177,10 +162,6 @@ class RunResult:
     @property
     def sales_fraction(self) -> float:
         return self.n_sales / self.n_bids if self.n_bids else 0.0
-
-    @property
-    def trajectory(self) -> np.ndarray:
-        return self.ntilde
 
     @property
     def sales(self) -> list[SaleRecord]:
@@ -195,28 +176,28 @@ class RunResult:
     @property
     def remaining(self) -> list[Bid]:
         if self._remaining is None:
-            ts = self.timestamps
             self._remaining = [
-                Bid(int(j), float(p), float(ts[j - 1]) if ts is not None else None)
+                Bid(int(j), float(p))
                 for p, j in zip(self.remaining_prices, self.remaining_indices)
             ]
         return self._remaining
 
 
 def _validate_prices(prices) -> list[float]:
-    if isinstance(prices, np.ndarray):
-        if len(prices) and not (np.min(prices) > 0):
-            bad = float(prices[np.argmin(prices)])
-            raise ValueError(f"bid prices must be > 0, got {bad}")
-        return prices.tolist()
-    out = [float(x) for x in prices]
-    for x in out:
-        if not x > 0:
-            raise ValueError(f"bid prices must be > 0, got {x}")
-    return out
+    arr = np.asarray(prices, dtype=float)
+    ok = (arr > 0) & (arr < math.inf)
+    if not ok.all():
+        raise ValueError(f"bid prices must be finite and > 0, got {arr[np.argmin(ok)]}")
+    return arr.tolist()
 
 
-def _fold_classic(pl: list[float], ntilde: Optional[np.ndarray]):
+def _fold(pl: list[float], two_consecutive: bool):
+    """The selling rule over a binary max-heap of (-price, index).
+
+    `armed` says whether a lower arrival may execute the maximum: classic
+    never clears it; two-consecutive sets it after each arrival to whether
+    that arrival is below the pool maximum.
+    """
     heappush = heapq.heappush
     heapreplace = heapq.heapreplace
     heap: list[tuple[float, int]] = []
@@ -224,99 +205,64 @@ def _fold_classic(pl: list[float], ntilde: Optional[np.ndarray]):
     acc: list[int] = []
     trig: list[int] = []
     ap, aa, at = sale_p.append, acc.append, trig.append
+    armed = True
     i = 0
-    k = 0
     for x in pl:
         i += 1
-        if heap and x < -heap[0][0]:
+        if armed and heap and x < -heap[0][0]:
             negz, j = heapreplace(heap, (-x, i))
             ap(-negz)
             aa(j)
             at(i)
-            k += 1
         else:
             heappush(heap, (-x, i))
-        if ntilde is not None:
-            ntilde[i - 1] = k
+        if two_consecutive:
+            armed = x < -heap[0][0]
     return sale_p, acc, trig, heap
 
 
-def _fold_two_consecutive(pl: list[float], ntilde: Optional[np.ndarray]):
-    heappush = heapq.heappush
-    heapreplace = heapq.heapreplace
-    heap: list[tuple[float, int]] = []
-    sale_p: list[float] = []
-    acc: list[int] = []
-    trig: list[int] = []
-    ap, aa, at = sale_p.append, acc.append, trig.append
-    i = 0
-    k = 0
-    below = 0
-    for x in pl:
-        i += 1
-        if below and heap and x < -heap[0][0]:
-            negz, j = heapreplace(heap, (-x, i))
-            ap(-negz)
-            aa(j)
-            at(i)
-            k += 1
-        else:
-            heappush(heap, (-x, i))
-        below = 1 if x < -heap[0][0] else 0
-        if ntilde is not None:
-            ntilde[i - 1] = k
-    return sale_p, acc, trig, heap
+def _ntilde(trigger_indices: np.ndarray, n: int) -> np.ndarray:
+    """Running sale count after each arrival."""
+    fired = np.zeros(n, dtype=np.int64)
+    fired[trigger_indices - 1] = 1
+    return np.cumsum(fired)
 
 
-def run_sequence(rule: Rule | str, prices, *, timestamps=None,
+def run_sequence(rule: Rule | str, prices, *,
                  collect_trajectory: bool = True) -> RunResult:
     """Fold the selling rule over an ordered price list.
 
     Equivalent to submitting each price to a fresh AuctionEngine; implemented
     as a tight loop over a binary max-heap so million-bid runs take about a
-    second.
+    second. `ntilde` is built only when collect_trajectory is true.
     """
     rule = Rule(rule)
     pl = _validate_prices(prices)
     n = len(pl)
-    ntilde = np.empty(n, dtype=np.int64) if collect_trajectory else None
 
     if rule is Rule.ACCEPT_ALL:
-        sale_prices = np.asarray(pl, dtype=float)
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        if ntilde is not None:
-            ntilde[:] = idx
-        return RunResult(
-            rule=rule, n_bids=n,
-            sale_prices=sale_prices,
-            accepted_indices=idx, trigger_indices=idx.copy(),
-            ntilde=ntilde if ntilde is not None else np.empty(0, dtype=np.int64),
-            remaining_prices=np.empty(0), remaining_indices=np.empty(0, dtype=np.int64),
-            total_income=math.fsum(pl),
-            timestamps=None if timestamps is None else np.asarray(timestamps, dtype=float),
-        )
+        sale_p, heap = pl, []
+        acc = trig = np.arange(1, n + 1, dtype=np.int64)
+    else:
+        sale_p, acc, trig, heap = _fold(pl, rule is Rule.TWO_CONSECUTIVE)
+        heap.sort(key=lambda t: t[1])
 
-    fold = _fold_classic if rule is Rule.CLASSIC else _fold_two_consecutive
-    sale_p, acc, trig, heap = fold(pl, ntilde)
-
-    heap.sort(key=lambda t: t[1])
+    # the pool arrays before any sale array: a lower peak of memory
     rem_prices = np.array([-negp for negp, _ in heap], dtype=float)
     rem_idx = np.array([j for _, j in heap], dtype=np.int64)
-    if ntilde is None:
-        ntilde = np.empty(0, dtype=np.int64)
+    trig = np.asarray(trig, dtype=np.int64)
     return RunResult(
         rule=rule, n_bids=n,
         sale_prices=np.asarray(sale_p, dtype=float),
-        accepted_indices=np.asarray(acc, dtype=np.int64),
-        trigger_indices=np.asarray(trig, dtype=np.int64),
-        ntilde=ntilde,
+        accepted_indices=np.array(acc, dtype=np.int64),
+        trigger_indices=trig,
+        ntilde=_ntilde(trig, n) if collect_trajectory else np.empty(0, dtype=np.int64),
         remaining_prices=rem_prices, remaining_indices=rem_idx,
         total_income=math.fsum(sale_p),
-        timestamps=None if timestamps is None else np.asarray(timestamps, dtype=float),
     )
 
 
-def oracle_run(rule: Rule | str, prices, *, timestamps=None) -> RunResult:
+def oracle_run(rule: Rule | str, prices) -> RunResult:
     """Reference implementation: re-derives the pool maximum by full scan at
     every step. Quadratic, intended for sequences up to a few thousand bids;
     shares no max-retrieval code with run_sequence.
@@ -367,5 +313,4 @@ def oracle_run(rule: Rule | str, prices, *, timestamps=None) -> RunResult:
         remaining_prices=np.array([p for p, _ in rem], dtype=float),
         remaining_indices=np.array([j for _, j in rem], dtype=np.int64),
         total_income=math.fsum(sale_p),
-        timestamps=None if timestamps is None else np.asarray(timestamps, dtype=float),
     )

@@ -50,18 +50,28 @@ def _z_value(level: float) -> float:
     return float(ndtri(0.5 + level / 2.0))
 
 
-def _one_replica(model: PriceModel, rule: Rule, n_bids: int,
-                 master_seed: int, replica_id: int) -> ReplicaResult:
+def map_replicas(fn, jobs: list, workers: int = 1) -> list:
+    """Apply `fn` to each job, in a pool of `workers` processes when
+    workers > 1.
+
+    Results come back in job order, so they do not depend on the worker
+    count. `fn` must be a module-level function so the pool can send it.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    chunk = max(1, len(jobs) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunk))
+
+
+def _one_replica(job) -> ReplicaResult:
+    model, rule, n_bids, master_seed, replica_id = job
     seed = SeedSpec(master_seed, replica_id)
     prices = sample(model, seed, n_bids)
     result = run_sequence(rule, prices, collect_trajectory=False)
     return ReplicaResult(replica_id=replica_id, n_bids=n_bids,
                          n_sales=result.n_sales,
                          total_income=result.total_income, seed=seed)
-
-
-def _one_replica_args(args) -> ReplicaResult:
-    return _one_replica(*args)
 
 
 def run_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
@@ -74,11 +84,7 @@ def run_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     rule = Rule(rule)
     jobs = [(model, rule, n_bids, master_seed, r) for r in range(n_replicas)]
-    if workers <= 1 or n_replicas == 1:
-        return [_one_replica(*job) for job in jobs]
-    chunk = max(1, n_replicas // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_one_replica_args, jobs, chunksize=chunk))
+    return map_replicas(_one_replica, jobs, workers)
 
 
 def _check_uniform_n(results: list[ReplicaResult]) -> int:

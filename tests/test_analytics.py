@@ -103,13 +103,6 @@ def test_segment_avalanches_empty_and_boundary():
     assert av.durations.tolist() == [1, 1]
 
 
-def test_segment_avalanches_accepts_sale_records():
-    res = run_sequence(Rule.CLASSIC, [14, 15, 18, 13, 16, 12, 10])
-    av_records = segment_avalanches(res.sales, xc=15.5)
-    av_prices = segment_avalanches(res.sale_prices, xc=15.5)
-    assert av_records.durations.tolist() == av_prices.durations.tolist()
-
-
 def test_segmentation_conserves_sale_count():
     rng = np.random.default_rng(3)
     for _ in range(50):

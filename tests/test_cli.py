@@ -139,10 +139,12 @@ def test_missing_model_and_prices_is_config_error(tmp_path, capsys):
 
 def test_bad_prices_file_is_config_error(tmp_path, capsys):
     pf = tmp_path / "prices.txt"
-    pf.write_text("3.0\n-1.0\n")
-    rc = main(["simulate", "--prices-file", str(pf), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "prices.txt:2" in capsys.readouterr().err
+    for bad in ("-1.0", "inf", "nan"):
+        pf.write_text(f"3.0\n{bad}\n")
+        rc = main(["simulate", "--prices-file", str(pf), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "prices.txt:2" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
 
 def test_theory_lognormal_values(capsys):
@@ -233,6 +235,13 @@ def test_replicate_fig1b_small(tmp_path):
     assert verdict["pass"] is True
     for r in rows:
         assert float(r["band_low"]) <= float(r["theory_ti"]) <= float(r["band_high"])
+    # the worker pool returns replicas in order: same bytes as one process
+    pooled = tmp_path / "pooled"
+    rc = main(["replicate", "fig1b", "--replicas", "40", "--threads", "2",
+               "--out", str(pooled)])
+    assert rc == 0
+    for name in ("fig1b.csv", "fig1b_verdict.json"):
+        assert (pooled / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_replicate_fig2(tmp_path):
@@ -247,6 +256,18 @@ def test_replicate_fig2(tmp_path):
     assert min(ks) >= 100 and max(ks) <= 10_000
 
 
+def test_replicate_fig2_without_avalanches_is_insufficient_data(
+        tmp_path, monkeypatch, capsys):
+    # at 5e5 bids seed 8 has no complete avalanche: no run of sales above
+    # xc is delimited on both sides
+    monkeypatch.setattr("soc_auction.cli.FIG2_N", 500_000)
+    rc = main(["replicate", "fig2", "--seed", "8", "--out", str(tmp_path)])
+    assert rc == 4
+    assert "no complete avalanches" in capsys.readouterr().err
+    assert not (tmp_path / "fig2.csv").exists()
+    assert not (tmp_path / "fig2_verdict.json").exists()
+
+
 def test_cli_subprocess_entry_and_usage_error():
     proc = subprocess.run([sys.executable, "-m", "soc_auction", "--help"],
                           capture_output=True, text=True)
@@ -255,3 +276,7 @@ def test_cli_subprocess_entry_and_usage_error():
     proc = subprocess.run([sys.executable, "-m", "soc_auction", "simulate",
                            "--rule", "bogus"], capture_output=True, text=True)
     assert proc.returncode == 2
+    for command in ("simulate", "avalanches"):  # --threads is replicate's only
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "2"])
+        assert exc.value.code == 2

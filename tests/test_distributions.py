@@ -9,7 +9,7 @@ import pytest
 from soc_auction import (E_INV, Exponential, InfiniteMomentError, LogNormal,
                          ModelSpecError, Pareto, SeedSpec, Truncated, Uniform,
                          critical_price, ks_critical_value, ks_statistic,
-                         parse_model, poisson_arrival_times, quantile, sample,
+                         parse_model, quantile, sample,
                          tail_mean, tail_moment2, tail_moment_quad,
                          uniform_stream)
 
@@ -224,17 +224,6 @@ def test_truncated_sampling_ks_below_critical():
     xs = sample(t, SeedSpec(77, 0), 100_000)
     stat = ks_statistic(xs, t.cdf)
     assert stat < ks_critical_value(len(xs), 0.01)
-
-
-def test_poisson_arrival_times():
-    ts = poisson_arrival_times(50_000, rate=4.0, seed=SeedSpec(9, 0))
-    assert len(ts) == 50_000
-    assert (np.diff(ts) > 0).all()
-    mean_gap = ts[-1] / len(ts)
-    se = (1 / 4.0) / math.sqrt(len(ts))
-    assert abs(mean_gap - 0.25) < 4 * se
-    with pytest.raises(ValueError):
-        poisson_arrival_times(10, rate=0.0, seed=SeedSpec(9, 0))
 
 
 # =====================================================================

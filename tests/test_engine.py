@@ -5,10 +5,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, SaleRecord,
-                         SeedSpec, new_engine, oracle_run, quantile,
-                         run_sequence, sample, uniform_stream)
+                         SeedSpec, oracle_run, quantile, run_sequence, sample,
+                         uniform_stream)
 
 WORKED_PRICES = [14, 15, 18, 13, 16, 12, 10]
 
@@ -111,7 +113,7 @@ def test_two_consecutive_higher_arrival_interrupts():
 def test_engine_matches_run_sequence():
     prices = sample(LogNormal(0, 0.3), SeedSpec(11, 0), 400)
     for rule in Rule:
-        eng = new_engine(rule)
+        eng = AuctionEngine(rule)
         records = [r for r in (eng.submit_bid(p) for p in prices) if r is not None]
         res = run_sequence(rule, prices)
         assert [r.price for r in records] == res.sale_prices.tolist()
@@ -123,9 +125,9 @@ def test_engine_matches_run_sequence():
 
 
 def test_submit_rejects_nonpositive_price_without_state_change():
-    eng = new_engine(Rule.CLASSIC)
+    eng = AuctionEngine(Rule.CLASSIC)
     eng.submit_bid(2.0)
-    for bad in (0.0, -1.5, float("nan")):
+    for bad in (0.0, -1.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             eng.submit_bid(bad)
     assert eng.bids_seen == 1
@@ -137,6 +139,11 @@ def test_run_sequence_rejects_nonpositive():
         run_sequence(Rule.CLASSIC, [1.0, 0.0])
     with pytest.raises(ValueError):
         run_sequence(Rule.CLASSIC, np.array([1.0, -2.0]))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            run_sequence(Rule.CLASSIC, [1.0, bad, 0.5])
+        with pytest.raises(ValueError):
+            run_sequence(Rule.CLASSIC, np.array([1.0, bad, 0.5]))
 
 
 def test_conservation_identity():
@@ -204,6 +211,41 @@ def test_oracle_equivalence_random_sequences():
         assert np.array_equal(fast.remaining_indices, slow.remaining_indices)
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(prices=st.lists(st.integers(1, 5).map(float), max_size=60),
+       cut=st.integers(0, 60))
+def test_fold_oracle_engine_agree_on_ties(prices, cut):
+    for rule in Rule:
+        fast = run_sequence(rule, prices)
+        slow = oracle_run(rule, prices)
+        for a, b in ((fast.sale_prices, slow.sale_prices),
+                     (fast.accepted_indices, slow.accepted_indices),
+                     (fast.trigger_indices, slow.trigger_indices),
+                     (fast.ntilde, slow.ntilde),
+                     (fast.remaining_prices, slow.remaining_prices),
+                     (fast.remaining_indices, slow.remaining_indices)):
+            assert np.array_equal(a, b)
+
+        eng = AuctionEngine(rule)
+        records = [eng.submit_bid(p) for p in prices]
+        sales = [r for r in records if r is not None]
+        assert [r.price for r in sales] == fast.sale_prices.tolist()
+        assert [r.accepted_bid_index for r in sales] == fast.accepted_indices.tolist()
+        assert [r.trigger_bid_index for r in sales] == fast.trigger_indices.tolist()
+        assert np.cumsum([r is not None for r in records]).tolist() == fast.ntilde.tolist()
+        assert [b.index for b in eng.remaining_bids()] == fast.remaining_indices.tolist()
+        assert eng.remaining_prices().tolist() == fast.remaining_prices.tolist()
+
+        # an engine pickled mid-run finishes like the uninterrupted one
+        part = AuctionEngine(rule)
+        for p in prices[:cut]:
+            part.submit_bid(p)
+        part = pickle.loads(pickle.dumps(part))
+        assert [part.submit_bid(p) for p in prices[cut:]] == records[cut:]
+        assert part.total_income == eng.total_income
+        assert part.remaining_bids() == eng.remaining_bids()
+
+
 def test_worked_example_oracle():
     fast = run_sequence(Rule.CLASSIC, WORKED_PRICES)
     slow = oracle_run(Rule.CLASSIC, WORKED_PRICES)
@@ -211,25 +253,8 @@ def test_worked_example_oracle():
     assert np.array_equal(fast.remaining_prices, slow.remaining_prices)
 
 
-def test_timestamps_are_pure_metadata():
-    prices = sample(LogNormal(0, 0.3), SeedSpec(29, 0), 500)
-    ts = np.cumsum(np.full(500, 0.25))
-    with_ts = run_sequence(Rule.CLASSIC, prices, timestamps=ts)
-    without = run_sequence(Rule.CLASSIC, prices)
-    assert np.array_equal(with_ts.sale_prices, without.sale_prices)
-    assert np.array_equal(with_ts.ntilde, without.ntilde)
-    assert with_ts.remaining[0].timestamp == pytest.approx(
-        ts[with_ts.remaining[0].index - 1])
-    assert without.remaining[0].timestamp is None
-
-    eng = new_engine(Rule.CLASSIC)
-    eng.submit_bid(1.0, timestamp=0.5)
-    eng.submit_bid(2.0, timestamp=0.9)
-    assert [b.timestamp for b in eng.remaining_bids()] == [0.5, 0.9]
-
-
 def test_engine_state_is_transferable():
-    eng = new_engine(Rule.TWO_CONSECUTIVE)
+    eng = AuctionEngine(Rule.TWO_CONSECUTIVE)
     prices = sample(LogNormal(0, 0.3), SeedSpec(31, 0), 300)
     for p in prices[:150]:
         eng.submit_bid(p)
@@ -242,19 +267,19 @@ def test_engine_state_is_transferable():
 
 def test_bid_and_salerecord_shapes():
     b = Bid(index=1, price=2.0)
-    assert b.timestamp is None
+    assert b.price == 2.0
     r = SaleRecord(1, 9.0, 3, 4)
     assert r.price == 9.0 and r.trigger_bid_index == 4
 
 
 def test_new_engine_initial_state():
     for rule in Rule:
-        eng = new_engine(rule)
+        eng = AuctionEngine(rule)
         assert eng.bids_seen == 0
         assert eng.accepted_count == 0
         assert eng.total_income == 0.0
         assert eng.n_remaining == 0
         assert eng.below_counter == 0
-    eng = new_engine(Rule.CLASSIC)
+    eng = AuctionEngine(Rule.CLASSIC)
     assert eng.submit_bid(1.0) is None  # first bid enters with no comparison
     assert eng.accepted_count == 0
