@@ -51,20 +51,6 @@ class TheorySummary:
     infinite_mean: bool = False
     infinite_variance: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "pc": self.pc,
-            "xc": self.xc,
-            "expected_sales_fraction": self.expected_sales_fraction,
-            "b_constant": self.b_constant,
-            "expected_ti_per_bid": self.expected_ti_per_bid,
-            "mean_Y": self.mean_Y,
-            "var_Y": self.var_Y,
-            "af_approx": self.af_approx,
-            "infinite_mean": self.infinite_mean,
-            "infinite_variance": self.infinite_variance,
-        }
-
 
 def theory_summary(model: PriceModel, pc: float = E_INV,
                    b: float = B_DEFAULT) -> TheorySummary:
@@ -274,11 +260,6 @@ class TailFit:
     k_min: int
     k_max: int
     n_points: int
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "stderr": self.stderr,
-                "k_min": self.k_min, "k_max": self.k_max,
-                "n_points": self.n_points}
 
 
 def _median_pairwise_slope(logk: np.ndarray, logp: np.ndarray) -> float:

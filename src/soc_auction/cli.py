@@ -10,6 +10,7 @@ digits, which round-trips doubles losslessly).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -104,6 +105,8 @@ def _load_prices_file(path: str) -> np.ndarray:
             raise ModelSpecError(
                 f"{path}:{lineno}: prices must be finite and > 0, got {v}")
         values.append(v)
+    if not values:
+        raise ModelSpecError(f"{path}: no prices")
     return np.asarray(values, dtype=float)
 
 
@@ -198,7 +201,7 @@ def cmd_theory(ns) -> int:
     if model is None:
         raise ModelSpecError("--model is required")
     summary = analytics.theory_summary(model, pc=ns.pc, b=ns.b)
-    payload = {"model": model.spec_string(), **summary.to_dict()}
+    payload = {"model": model.spec_string(), **dataclasses.asdict(summary)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if ns.out is not None:
         out = _out_dir(ns)
@@ -239,7 +242,7 @@ def cmd_avalanches(ns) -> int:
                                    durations=avalanches.durations, seed=seed)
     if "json" in fmts:
         _write_json(out / "tail_fit.json", {
-            **fit.to_dict(),
+            **dataclasses.asdict(fit),
             "n_avalanches": avalanches.n_avalanches,
             "left_censored_first": avalanches.left_censored_first,
             "right_censored_last": avalanches.right_censored_last,
@@ -283,6 +286,9 @@ def cmd_replicate(ns) -> int:
     elif ns.figure == "fig1b":
         seed = ns.seed if ns.seed is not None else FIG1B_SEED
         replicas = ns.replicas if ns.replicas is not None else FIG1B_REPLICAS
+        if replicas < 2:
+            raise ModelSpecError(
+                f"--replicas must be >= 2 for the fig1b band, got {replicas}")
         grid = np.asarray(FIG1B_GRID, dtype=np.int64)
         jobs = [(model, FIG1B_N, seed, r, grid) for r in range(replicas)]
         tis = np.array(montecarlo.map_replicas(_fig1b_replica, jobs, ns.threads))
@@ -335,11 +341,10 @@ def cmd_replicate(ns) -> int:
 # Parser
 # =====================================================================
 
-def _add_run_flags(p: argparse.ArgumentParser, with_model=True) -> None:
-    if with_model:
-        p.add_argument("--model", help="price model spec, e.g. lognormal:mu=0,sigma=0.3")
-        p.add_argument("--base-price", type=float, default=None,
-                       help="truncate the model below this base price")
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", help="price model spec, e.g. lognormal:mu=0,sigma=0.3")
+    p.add_argument("--base-price", type=float, default=None,
+                   help="truncate the model below this base price")
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (fallback: ${SEED_ENV_VAR}, then 0)")
     p.add_argument("--pc", type=float, default=E_INV,

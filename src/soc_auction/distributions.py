@@ -1,4 +1,4 @@
-"""Price-law models: seeded sampling, cdf/pdf/quantile, truncated moments.
+"""Price-law models: seeded sampling, cdf/quantile, truncated moments.
 
 All sampling is inverse-transform from a reproducible uniform stream, so two
 models driven by the same SeedSpec see the same underlying uniforms. That is
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import InfiniteMomentError, ModelSpecError
@@ -66,17 +65,17 @@ def uniform_stream(seed: SeedSpec, n: int) -> np.ndarray:
 class PriceModel:
     """A bid-price law on the positive reals.
 
-    Subclasses provide closed-form cdf/pdf/quantile and the two truncated
-    moments used by the income theory:
+    Subclasses are frozen dataclasses that provide a closed-form cdf and
+    quantile and the two truncated moments used by the income theory:
 
         tail_mean(c)    = integral of x f(x) over [c, inf)
         tail_moment2(c) = integral of x^2 f(x) over [c, inf)
+
+    A family's spec is its lower-case class name and its fields in order,
+    e.g. ``lognormal:mu=0,sigma=0.3``; `parse_model` reads it back.
     """
 
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def pdf(self, x):
         raise NotImplementedError
 
     def cdf(self, x):
@@ -96,7 +95,8 @@ class PriceModel:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        body = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        return f"{type(self).__name__.lower()}:{body}"
 
 
 def _scalarize(x, val):
@@ -116,11 +116,6 @@ class Exponential(PriceModel):
     def support(self):
         return 0.0, math.inf
 
-    def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(xa, 0)))
-        return _scalarize(x, out)
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         out = np.where(xa < 0, 0.0, -np.expm1(-self.rate * np.maximum(xa, 0)))
@@ -138,9 +133,6 @@ class Exponential(PriceModel):
         lam = self.rate
         return (c * c + 2.0 * c / lam + 2.0 / lam ** 2) * math.exp(-lam * c)
 
-    def spec_string(self):
-        return f"exponential:rate={self.rate:g}"
-
 
 @dataclass(frozen=True)
 class LogNormal(PriceModel):
@@ -153,15 +145,6 @@ class LogNormal(PriceModel):
 
     def support(self):
         return 0.0, math.inf
-
-    def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        safe = np.where(xa > 0, xa, 1.0)
-        z = (np.log(safe) - self.mu) / self.sigma
-        out = np.where(xa > 0,
-                       np.exp(-0.5 * z * z) / (safe * self.sigma * math.sqrt(2 * math.pi)),
-                       0.0)
-        return _scalarize(x, out)
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
@@ -184,9 +167,6 @@ class LogNormal(PriceModel):
             return m2
         return m2 * ndtr((self.mu + 2.0 * self.sigma ** 2 - math.log(c)) / self.sigma)
 
-    def spec_string(self):
-        return f"lognormal:mu={self.mu:g},sigma={self.sigma:g}"
-
 
 @dataclass(frozen=True)
 class Uniform(PriceModel):
@@ -201,12 +181,6 @@ class Uniform(PriceModel):
 
     def support(self):
         return self.lo, self.hi
-
-    def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        inside = (xa >= self.lo) & (xa <= self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return _scalarize(x, out)
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
@@ -223,9 +197,6 @@ class Uniform(PriceModel):
     def tail_moment2(self, c):
         c = min(max(c, self.lo), self.hi)
         return (self.hi ** 3 - c ** 3) / (3.0 * (self.hi - self.lo))
-
-    def spec_string(self):
-        return f"uniform:lo={self.lo:g},hi={self.hi:g}"
 
 
 @dataclass(frozen=True)
@@ -248,15 +219,6 @@ class Pareto(PriceModel):
 
     def support(self):
         return self.xmin, math.inf
-
-    def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        safe = np.maximum(xa, self.xmin)
-        a = self.alpha
-        out = np.where(xa >= self.xmin,
-                       (a - 1.0) * self.xmin ** (a - 1.0) * safe ** (-a),
-                       0.0)
-        return _scalarize(x, out)
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
@@ -286,9 +248,6 @@ class Pareto(PriceModel):
         a = self.alpha
         return (a - 1.0) / (a - 3.0) * self.xmin ** (a - 1.0) * c ** (3.0 - a)
 
-    def spec_string(self):
-        return f"pareto:xmin={self.xmin:g},alpha={self.alpha:g}"
-
 
 @dataclass(frozen=True)
 class Truncated(PriceModel):
@@ -315,13 +274,6 @@ class Truncated(PriceModel):
     def support(self):
         lo, hi = self.inner.support()
         return max(lo, self.base_price), hi
-
-    def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa >= self.base_price,
-                       np.asarray(self.inner.pdf(xa)) / (1.0 - self._f0()),
-                       0.0)
-        return _scalarize(x, out)
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
@@ -381,19 +333,6 @@ def critical_price(model: PriceModel, pc: float = E_INV) -> float:
     return float(quantile(model, pc))
 
 
-def tail_mean(model: PriceModel, c: float) -> float:
-    """Integral of x f(x) over [c, inf), by closed form.
-
-    Raises InfiniteMomentError when the law has no finite mean.
-    """
-    return float(model.tail_mean(c))
-
-
-def tail_moment2(model: PriceModel, c: float) -> float:
-    """Integral of x^2 f(x) over [c, inf), by closed form."""
-    return float(model.tail_moment2(c))
-
-
 def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
     """Quadrature route for the truncated moments.
 
@@ -412,6 +351,8 @@ def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
     def integrand(u):
         return float(model._ppf(u)) ** power
 
+    from scipy import integrate  # here, so importing the package skips it
+
     with warnings.catch_warnings():
         # near machine precision QUADPACK reports roundoff in its
         # extrapolation table; the returned value is still well inside the
@@ -427,10 +368,8 @@ def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
 # =====================================================================
 
 _FAMILIES = {
-    "exponential": (Exponential, ("rate",)),
-    "lognormal": (LogNormal, ("mu", "sigma")),
-    "uniform": (Uniform, ("lo", "hi")),
-    "pareto": (Pareto, ("xmin", "alpha")),
+    cls.__name__.lower(): (cls, tuple(f.name for f in fields(cls)))
+    for cls in (Exponential, LogNormal, Uniform, Pareto)
 }
 
 

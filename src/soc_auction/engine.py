@@ -12,8 +12,8 @@ fraction of about one half.
 
 Accept-all baseline: every bid is immediately a sale of itself.
 
-`AuctionEngine` takes one bid at a time; `run_sequence` folds a whole price
-list in one heap loop that serves both comparison rules. `oracle_run`
+`_fold` is the one heap loop of both comparison rules: `run_sequence` runs
+it over a whole price list, `AuctionEngine` over one bid at a time. `oracle_run`
 rescans the pool at every step and shares no rule code with them: it is
 the independent reference the tests compare against. Prices must be finite
 and > 0.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,17 +60,17 @@ class SaleRecord:
 class AuctionEngine:
     """Incremental engine: one state, strictly sequential submissions.
 
-    The remaining pool is a max-priority queue keyed on (price, earliest
-    arrival index breaks ties). Income is accumulated with compensated
-    summation so the conservation identity holds to 1e-9 relative even for
-    multi-million-bid runs.
+    Each bid goes through the same heap fold as `run_sequence`, so a run
+    fed bid by bid gives the same sales and pool as the whole-list fold.
+    Income is accumulated with compensated summation so the conservation
+    identity holds to 1e-9 relative even for multi-million-bid runs.
     """
 
     def __init__(self, rule: Rule | str = Rule.CLASSIC):
         self.rule = Rule(rule)
         self.bids_seen = 0
         self.accepted_count = 0
-        self.below_counter = 0  # two-consecutive only: last arrival below max?
+        self._armed = True  # may a lower arrival execute the maximum?
         self._heap: list[tuple[float, int]] = []  # (-price, index)
         self._income = 0.0
         self._income_carry = 0.0
@@ -99,24 +99,17 @@ class AuctionEngine:
         i = self.bids_seen + 1
         self.bids_seen = i
         if self.rule is Rule.ACCEPT_ALL:
-            self.accepted_count += 1
-            self._add_income(price)
-            return SaleRecord(self.accepted_count, price, i, i)
-
-        heap = self._heap
-        two_consecutive = self.rule is Rule.TWO_CONSECUTIVE
-        sale = None
-        if (self.below_counter or not two_consecutive) and heap and price < -heap[0][0]:
-            negz, j = heapq.heapreplace(heap, (-price, i))
-            self.accepted_count += 1
-            self._add_income(-negz)
-            sale = SaleRecord(self.accepted_count, -negz, j, i)
+            sold, j = price, i
         else:
-            heapq.heappush(heap, (-price, i))
-        if two_consecutive:
-            # the arrival just inserted is "below" unless it is now the max
-            self.below_counter = 1 if price < -heap[0][0] else 0
-        return sale
+            sale_p, acc, _, self._armed = _fold(
+                (price,), self._heap, self._armed, i - 1,
+                self.rule is Rule.TWO_CONSECUTIVE)
+            if not sale_p:
+                return None
+            sold, j = sale_p[0], acc[0]
+        self.accepted_count += 1
+        self._add_income(sold)
+        return SaleRecord(self.accepted_count, sold, j, i)
 
     def remaining_bids(self) -> list[Bid]:
         """Remaining pool as Bid objects, sorted by arrival index."""
@@ -125,8 +118,7 @@ class AuctionEngine:
 
     def remaining_prices(self) -> np.ndarray:
         """Remaining prices sorted by arrival index."""
-        items = sorted(self._heap, key=lambda t: t[1])
-        return np.array([-negp for negp, _ in items], dtype=float)
+        return np.array([b.price for b in self.remaining_bids()], dtype=float)
 
 
 # =====================================================================
@@ -137,8 +129,7 @@ class AuctionEngine:
 class RunResult:
     """Outputs of folding the selling rule over a full price sequence.
 
-    Array-first so multi-million-bid runs stay cheap; `sales` and
-    `remaining` materialize record objects on demand. `ntilde[k-1]` is the
+    Arrays only, so multi-million-bid runs stay cheap. `ntilde[k-1]` is the
     number of sales after the k-th arrival; `run_sequence` fills it only
     when called with collect_trajectory=True and leaves it empty otherwise.
     """
@@ -152,8 +143,6 @@ class RunResult:
     remaining_prices: np.ndarray
     remaining_indices: np.ndarray
     total_income: float
-    _sales: Optional[list[SaleRecord]] = field(default=None, repr=False)
-    _remaining: Optional[list[Bid]] = field(default=None, repr=False)
 
     @property
     def n_sales(self) -> int:
@@ -162,25 +151,6 @@ class RunResult:
     @property
     def sales_fraction(self) -> float:
         return self.n_sales / self.n_bids if self.n_bids else 0.0
-
-    @property
-    def sales(self) -> list[SaleRecord]:
-        if self._sales is None:
-            self._sales = [
-                SaleRecord(k + 1, float(p), int(a), int(t))
-                for k, (p, a, t) in enumerate(
-                    zip(self.sale_prices, self.accepted_indices, self.trigger_indices))
-            ]
-        return self._sales
-
-    @property
-    def remaining(self) -> list[Bid]:
-        if self._remaining is None:
-            self._remaining = [
-                Bid(int(j), float(p))
-                for p, j in zip(self.remaining_prices, self.remaining_indices)
-            ]
-        return self._remaining
 
 
 def _validate_prices(prices) -> list[float]:
@@ -191,22 +161,23 @@ def _validate_prices(prices) -> list[float]:
     return arr.tolist()
 
 
-def _fold(pl: list[float], two_consecutive: bool):
+def _fold(pl, heap: list[tuple[float, int]], armed: bool, i: int,
+          two_consecutive: bool):
     """The selling rule over a binary max-heap of (-price, index).
 
-    `armed` says whether a lower arrival may execute the maximum: classic
-    never clears it; two-consecutive sets it after each arrival to whether
-    that arrival is below the pool maximum.
+    Folds the arrivals `pl` into `heap` in place; `i` is the index of the
+    last arrival already folded. `armed` says whether a lower arrival may
+    execute the maximum: classic never clears it; two-consecutive sets it
+    after each arrival to whether that arrival is below the pool maximum.
+    Returns the sales (prices, accepted and trigger indices) and the new
+    `armed` flag.
     """
     heappush = heapq.heappush
     heapreplace = heapq.heapreplace
-    heap: list[tuple[float, int]] = []
     sale_p: list[float] = []
     acc: list[int] = []
     trig: list[int] = []
     ap, aa, at = sale_p.append, acc.append, trig.append
-    armed = True
-    i = 0
     for x in pl:
         i += 1
         if armed and heap and x < -heap[0][0]:
@@ -218,7 +189,7 @@ def _fold(pl: list[float], two_consecutive: bool):
             heappush(heap, (-x, i))
         if two_consecutive:
             armed = x < -heap[0][0]
-    return sale_p, acc, trig, heap
+    return sale_p, acc, trig, armed
 
 
 def _ntilde(trigger_indices: np.ndarray, n: int) -> np.ndarray:
@@ -240,11 +211,13 @@ def run_sequence(rule: Rule | str, prices, *,
     pl = _validate_prices(prices)
     n = len(pl)
 
+    heap: list[tuple[float, int]] = []
     if rule is Rule.ACCEPT_ALL:
-        sale_p, heap = pl, []
+        sale_p = pl
         acc = trig = np.arange(1, n + 1, dtype=np.int64)
     else:
-        sale_p, acc, trig, heap = _fold(pl, rule is Rule.TWO_CONSECUTIVE)
+        sale_p, acc, trig, _ = _fold(pl, heap, True, 0,
+                                     rule is Rule.TWO_CONSECUTIVE)
         heap.sort(key=lambda t: t[1])
 
     # the pool arrays before any sale array: a lower peak of memory

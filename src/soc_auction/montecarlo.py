@@ -40,11 +40,6 @@ class EstimateWithCI:
     n_replicas: int
     level: float
 
-    def to_dict(self) -> dict:
-        return {"point": self.point, "ci_low": self.ci_low,
-                "ci_high": self.ci_high, "n_replicas": self.n_replicas,
-                "level": self.level}
-
 
 def _z_value(level: float) -> float:
     return float(ndtri(0.5 + level / 2.0))
@@ -57,7 +52,9 @@ def map_replicas(fn, jobs: list, workers: int = 1) -> list:
     Results come back in job order, so they do not depend on the worker
     count. `fn` must be a module-level function so the pool can send it.
     """
-    if workers <= 1 or len(jobs) <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:

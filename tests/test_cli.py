@@ -147,6 +147,18 @@ def test_bad_prices_file_is_config_error(tmp_path, capsys):
         assert not (tmp_path / "summary.json").exists()
 
 
+def test_empty_prices_file_is_config_error(tmp_path, capsys):
+    pf = tmp_path / "prices.txt"
+    out = tmp_path / "out"
+    for text in ("", "\n  \n\t\n"):
+        pf.write_text(text)
+        for command in ("simulate", "avalanches"):
+            rc = main([command, "--prices-file", str(pf), "--out", str(out)])
+            assert rc == 2
+            assert "prices.txt" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
+
 def test_theory_lognormal_values(capsys):
     rc = main(["theory", "--model", "lognormal:mu=0,sigma=0.3"])
     assert rc == 0
@@ -168,6 +180,10 @@ def test_theory_infinite_mean_flags(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "theory.json").read_text())
+    assert set(payload) == {
+        "model", "pc", "xc", "expected_sales_fraction", "b_constant",
+        "expected_ti_per_bid", "mean_Y", "var_Y", "af_approx",
+        "infinite_mean", "infinite_variance"}
     assert payload["infinite_mean"] is True
     assert payload["expected_ti_per_bid"] is None
 
@@ -193,6 +209,9 @@ def test_avalanches_moderate_run_writes_fit(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     fit = json.loads((tmp_path / "tail_fit.json").read_text())
+    assert set(fit) == {
+        "slope", "stderr", "k_min", "k_max", "n_points", "n_avalanches",
+        "left_censored_first", "right_censored_last", "xc_used"}
     assert fit["k_min"] == 5 and fit["k_max"] == 2000
     assert -1.2 < fit["slope"] < -0.1
     assert fit["n_points"] >= 10
@@ -242,6 +261,25 @@ def test_replicate_fig1b_small(tmp_path):
     assert rc == 0
     for name in ("fig1b.csv", "fig1b_verdict.json"):
         assert (pooled / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("replicas", ["1", "0", "-2"])
+def test_replicate_fig1b_needs_two_replicas(tmp_path, capsys, replicas):
+    # one replica has no spread to draw the band from
+    rc = main(["replicate", "fig1b", "--replicas", replicas,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--replicas" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fig1b*"))
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_replicate_fig1b_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    rc = main(["replicate", "fig1b", "--replicas", "4", "--threads", threads,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "workers" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fig1b*"))
 
 
 def test_replicate_fig2(tmp_path):

@@ -2,6 +2,8 @@
 quadrature and elementary integrals, seeded sampling, spec parsing."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +11,7 @@ import pytest
 from soc_auction import (E_INV, Exponential, InfiniteMomentError, LogNormal,
                          ModelSpecError, Pareto, SeedSpec, Truncated, Uniform,
                          critical_price, ks_critical_value, ks_statistic,
-                         parse_model, quantile, sample,
-                         tail_mean, tail_moment2, tail_moment_quad,
+                         parse_model, quantile, sample, tail_moment_quad,
                          uniform_stream)
 
 ALL_MODELS = [
@@ -107,37 +108,37 @@ def test_truncated_critical_price_at_least_base():
 def test_lognormal_tail_mean_reference_value():
     m = LogNormal(0, 0.3)
     xc = critical_price(m, E_INV)
-    assert tail_mean(m, xc) == pytest.approx(0.7720651, abs=1e-5)
+    assert m.tail_mean(xc) == pytest.approx(0.7720651, abs=1e-5)
 
 
 def test_exponential_tail_mean_closed_form():
     m = Exponential(1.0)
     xc = -math.log(1.0 - E_INV)
     expected = (xc + 1.0) * math.exp(-xc)
-    assert tail_mean(m, xc) == pytest.approx(expected, rel=1e-12)
+    assert m.tail_mean(xc) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.9220585, abs=1e-6)
-    assert tail_mean(m, xc) == pytest.approx(tail_moment_quad(m, xc, 1), rel=1e-9)
+    assert m.tail_mean(xc) == pytest.approx(tail_moment_quad(m, xc, 1), rel=1e-9)
 
 
 def test_uniform_tail_moments_elementary():
     m = Uniform(0, 1)
     c = E_INV
-    assert tail_mean(m, c) == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
-    assert tail_mean(m, c) == pytest.approx(0.4323324, abs=1e-7)
-    assert tail_moment2(m, c) == pytest.approx((1 - math.exp(-3)) / 3, rel=1e-12)
-    assert tail_moment2(m, c) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
+    assert m.tail_mean(c) == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
+    assert m.tail_mean(c) == pytest.approx(0.4323324, abs=1e-7)
+    assert m.tail_moment2(c) == pytest.approx((1 - math.exp(-3)) / 3, rel=1e-12)
+    assert m.tail_moment2(c) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
 def test_tail_mean_at_zero_is_mean(model):
-    assert tail_mean(model, 0.0) == pytest.approx(model.mean(), rel=1e-12)
+    assert model.tail_mean(0.0) == pytest.approx(model.mean(), rel=1e-12)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
 def test_tail_mean_non_increasing(model):
     lo, _ = model.support()
     cs = np.linspace(lo, quantile(model, 0.99), 25)
-    vals = [tail_mean(model, float(c)) for c in cs]
+    vals = [model.tail_mean(float(c)) for c in cs]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -157,20 +158,20 @@ def test_closed_forms_match_quadrature_on_random_parameters():
         else:
             m = Truncated(float(rng.uniform(0.5, 1.5)), Exponential(float(rng.uniform(0.3, 2))))
         c = float(quantile(m, float(rng.uniform(0.05, 0.9))))
-        assert tail_mean(m, c) == pytest.approx(tail_moment_quad(m, c, 1), rel=1e-9)
-        assert tail_moment2(m, c) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
+        assert m.tail_mean(c) == pytest.approx(tail_moment_quad(m, c, 1), rel=1e-9)
+        assert m.tail_moment2(c) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
         checked += 1
 
 
 def test_pareto_infinite_moments():
     with pytest.raises(InfiniteMomentError):
-        tail_mean(Pareto(1.0, 1.5), 2.0)
+        Pareto(1.0, 1.5).tail_mean(2.0)
     with pytest.raises(InfiniteMomentError):
-        tail_moment2(Pareto(1.0, 2.5), 2.0)
+        Pareto(1.0, 2.5).tail_moment2(2.0)
     # a finite-mean heavy tail still integrates
-    assert tail_mean(Pareto(1.0, 2.5), 2.0) > 0
+    assert Pareto(1.0, 2.5).tail_mean(2.0) > 0
     with pytest.raises(InfiniteMomentError):
-        tail_mean(Truncated(2.0, Pareto(1.0, 1.5)), 0.0)
+        Truncated(2.0, Pareto(1.0, 1.5)).tail_mean(0.0)
 
 
 def test_pareto_density_exponent_convention():
@@ -295,3 +296,12 @@ def test_models_are_immutable_and_hashable():
     with pytest.raises(Exception):
         m.sigma = 0.5
     assert hash(m) == hash(LogNormal(0, 0.3))
+
+
+def test_package_import_leaves_quadrature_unloaded():
+    # scipy.integrate serves only the tail_moment_quad cross-check
+    code = ("import sys, soc_auction; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -26,13 +26,17 @@ def test_worked_example_classic():
 
 
 def test_worked_example_sale_records():
-    res = run_sequence("classic", WORKED_PRICES)
-    assert res.sales == [
+    eng = AuctionEngine("classic")
+    records = [eng.submit_bid(float(p)) for p in WORKED_PRICES]
+    assert [r for r in records if r is not None] == [
         SaleRecord(1, 18.0, 3, 4),
         SaleRecord(2, 16.0, 5, 6),
         SaleRecord(3, 15.0, 2, 7),
     ]
-    assert [b.index for b in res.remaining] == [1, 4, 6, 7]
+    assert eng.remaining_bids() == [Bid(1, 14.0), Bid(4, 13.0), Bid(6, 12.0),
+                                    Bid(7, 10.0)]
+    res = run_sequence("classic", WORKED_PRICES)
+    assert res.remaining_indices.tolist() == [1, 4, 6, 7]
 
 
 def test_single_bid_no_sale():
@@ -66,7 +70,7 @@ def test_tie_does_not_trigger():
     # an equal bid joins the queue; the next lower bid executes the earliest max
     res = run_sequence(Rule.CLASSIC, [5, 5, 4])
     assert res.n_sales == 1
-    assert res.sales[0].accepted_bid_index == 1
+    assert res.accepted_indices.tolist() == [1]
     assert sorted(res.remaining_prices.tolist()) == [4.0, 5.0]
 
 
@@ -279,7 +283,6 @@ def test_new_engine_initial_state():
         assert eng.accepted_count == 0
         assert eng.total_income == 0.0
         assert eng.n_remaining == 0
-        assert eng.below_counter == 0
     eng = AuctionEngine(Rule.CLASSIC)
     assert eng.submit_bid(1.0) is None  # first bid enters with no comparison
     assert eng.accepted_count == 0

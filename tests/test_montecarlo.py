@@ -44,6 +44,9 @@ def test_run_replicas_validation():
         run_replicas(Uniform(0, 1), Rule.CLASSIC, 0, 3, 1)
     with pytest.raises(ValueError):
         run_replicas(Uniform(0, 1), Rule.CLASSIC, 10, 0, 1)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            run_replicas(Uniform(0, 1), Rule.CLASSIC, 10, 3, 1, workers=workers)
 
 
 # =====================================================================
