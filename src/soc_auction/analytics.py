@@ -94,7 +94,10 @@ def empirical_critical_price(prices, pc: float = E_INV) -> float:
     """Model-free alternative: the empirical pc-quantile of all bids."""
     if not 0 < pc < 1:
         raise ValueError(f"pc must be in (0, 1), got {pc}")
-    return float(np.quantile(np.asarray(prices, dtype=float), pc))
+    prices = np.asarray(prices, dtype=float)
+    if prices.size == 0:
+        raise ValueError("empty price sample")
+    return float(np.quantile(prices, pc))
 
 
 # =====================================================================

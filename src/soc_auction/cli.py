@@ -3,8 +3,9 @@ replicate the reference figures as plottable data files.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 insufficient
 data. All outputs are deterministic given the configuration and seed; reruns
-produce byte-identical CSV bodies (reals are written with 17 significant
-digits, which round-trips doubles losslessly).
+produce byte-identical CSV bodies. Every CSV cell follows one rule (in
+`_write_csv`): reals at 17 significant digits, which round-trips doubles
+losslessly; integers bare; an empty cell where no sale fired.
 """
 
 from __future__ import annotations
@@ -46,18 +47,27 @@ FIG2_TARGET_SLOPE = -0.54
 FIG2_TOLERANCE = 0.10
 
 
-def _fmt(x) -> str:
-    """Reals at 17 significant digits; lossless double round trip."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+CSV_BLOCK_ROWS = 1 << 12  # rows formatted at once: bounds the text held in memory
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _cells(col: np.ndarray) -> list[str]:
+    fmt = "{:.17g}".format if col.dtype.kind == "f" else str
+    cells = list(map(fmt, np.ma.getdata(col).tolist()))
+    for i in np.flatnonzero(np.ma.getmaskarray(col)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Equal-length columns under their names, in dict order. The one format
+    rule: reals at 17 significant digits (a lossless double round trip),
+    integers bare, masked entries as empty cells."""
+    cols = list(columns.values())
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            cells = [_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -84,9 +94,8 @@ def _resolve_model(ns) -> PriceModel | None:
     if ns.model is None:
         return None
     model = parse_model(ns.model)
-    base = getattr(ns, "base_price", None)
-    if base is not None:
-        model = Truncated(base_price=base, inner=model)
+    if ns.base_price is not None:
+        model = Truncated(base_price=ns.base_price, inner=model)
     return model
 
 
@@ -161,10 +170,16 @@ def cmd_simulate(ns) -> int:
     out = _out_dir(ns)
 
     if "csv" in fmts:
-        rows = _event_rows(result, prices)
-        _write_csv(out / "events.csv",
-                   ["bid_index", "price", "sale_flag", "sale_price",
-                    "trigger_index", "ntilde"], rows)
+        bid_index = np.arange(1, result.n_bids + 1)
+        sale_flag = np.diff(result.ntilde, prepend=0)
+        sale_price = np.zeros(result.n_bids)
+        sale_price[result.trigger_indices - 1] = result.sale_prices
+        no_sale = sale_flag == 0
+        _write_csv(out / "events.csv", {
+            "bid_index": bid_index, "price": prices, "sale_flag": sale_flag,
+            "sale_price": np.ma.array(sale_price, mask=no_sale),
+            "trigger_index": np.ma.array(bid_index, mask=no_sale),
+            "ntilde": result.ntilde})
     if "json" in fmts:
         _write_json(out / "summary.json", {
             "n_bids": result.n_bids,
@@ -178,22 +193,6 @@ def cmd_simulate(ns) -> int:
             "master_seed": None if ns.prices_file is not None else seed,
         })
     return EXIT_OK
-
-
-def _event_rows(result: RunResult, prices: np.ndarray):
-    """One row per submitted bid; sale columns empty when no sale fired."""
-    trig = result.trigger_indices
-    sale_price = result.sale_prices
-    pos = 0
-    n_trig = len(trig)
-    for i in range(1, result.n_bids + 1):
-        if pos < n_trig and trig[pos] == i:
-            yield (i, float(prices[i - 1]), 1, float(sale_price[pos]), i,
-                   int(result.ntilde[i - 1]))
-            pos += 1
-        else:
-            yield (i, float(prices[i - 1]), 0, None, None,
-                   int(result.ntilde[i - 1]))
 
 
 def cmd_theory(ns) -> int:
@@ -233,10 +232,9 @@ def cmd_avalanches(ns) -> int:
 
     # durations and survival are valid even when the tail fit is not
     if "csv" in fmts:
-        _write_csv(out / "durations.csv", ["duration"],
-                   ((int(d),) for d in avalanches.durations))
-        _write_csv(out / "survival.csv", ["k", "survival"],
-                   ((int(k), float(p)) for k, p in zip(*survival)))
+        _write_csv(out / "durations.csv", {"duration": avalanches.durations})
+        ks, ps = survival
+        _write_csv(out / "survival.csv", {"k": ks, "survival": ps})
 
     fit = analytics.fit_power_tail(survival, ns.kmin, ns.kmax,
                                    durations=avalanches.durations, seed=seed)
@@ -260,80 +258,75 @@ def _fig1b_replica(args) -> np.ndarray:
     return np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
 
 
-def cmd_replicate(ns) -> int:
+def _figure_setup(ns) -> tuple[Path, PriceModel, analytics.TheorySummary]:
     out = _out_dir(ns)
     model = parse_model(FIG_MODEL)
-    theory = analytics.theory_summary(model)
-    xc = theory.xc
-    rate = theory.expected_ti_per_bid
+    return out, model, analytics.theory_summary(model)
 
-    if ns.figure == "fig1a":
-        seed = ns.seed if ns.seed is not None else FIG1A_SEED
-        prices = sample(model, SeedSpec(seed, 0), FIG1A_N)
-        result = run_sequence(Rule.CLASSIC, prices)
-        accepted = np.zeros(FIG1A_N, dtype=int)
-        accepted[result.accepted_indices - 1] = 1
-        _write_csv(out / "fig1a.csv", ["bid_index", "price", "accepted"],
-                   ((i + 1, float(prices[i]), int(accepted[i]))
-                    for i in range(FIG1A_N)))
-        share = float(np.mean(result.sale_prices > xc))
-        _write_json(out / "fig1a_verdict.json", {
-            "figure": "fig1a", "n_bids": FIG1A_N, "seed": seed, "xc": xc,
-            "share_accepted_above_xc": share, "threshold": 0.99,
-            "pass": share >= 0.99,
-        })
 
-    elif ns.figure == "fig1b":
-        seed = ns.seed if ns.seed is not None else FIG1B_SEED
-        replicas = ns.replicas if ns.replicas is not None else FIG1B_REPLICAS
-        if replicas < 2:
-            raise ModelSpecError(
-                f"--replicas must be >= 2 for the fig1b band, got {replicas}")
-        grid = np.asarray(FIG1B_GRID, dtype=np.int64)
-        jobs = [(model, FIG1B_N, seed, r, grid) for r in range(replicas)]
-        tis = np.array(montecarlo.map_replicas(_fig1b_replica, jobs, ns.threads))
-        mean = tis.mean(axis=0)
-        sd = tis.std(axis=0, ddof=1)
-        theory_line = rate * grid
-        _write_csv(out / "fig1b.csv",
-                   ["n_bids", "mean_ti", "sd_ti", "band_low", "band_high",
-                    "theory_ti"],
-                   ((int(n), float(m), float(s), float(m - 3 * s),
-                     float(m + 3 * s), float(t))
-                    for n, m, s, t in zip(grid, mean, sd, theory_line)))
-        big = grid >= 50
-        inside = ((theory_line >= mean - 3 * sd)
-                  & (theory_line <= mean + 3 * sd))
-        _write_json(out / "fig1b_verdict.json", {
-            "figure": "fig1b", "n_bids": FIG1B_N, "replicas": replicas,
-            "seed": seed, "ti_per_bid_theory": rate,
-            "n_grid_points": int(len(grid)),
-            "all_inside_band_n_ge_50": bool(inside[big].all()),
-            "pass": bool(inside[big].all()),
-        })
+def cmd_fig1a(ns) -> int:
+    out, model, theory = _figure_setup(ns)
+    prices = sample(model, SeedSpec(ns.seed, 0), FIG1A_N)
+    result = run_sequence(Rule.CLASSIC, prices)
+    accepted = np.zeros(FIG1A_N, dtype=np.int64)
+    accepted[result.accepted_indices - 1] = 1
+    _write_csv(out / "fig1a.csv", {"bid_index": np.arange(1, FIG1A_N + 1),
+                                   "price": prices, "accepted": accepted})
+    share = float(np.mean(result.sale_prices > theory.xc))
+    _write_json(out / "fig1a_verdict.json", {
+        "figure": "fig1a", "n_bids": FIG1A_N, "seed": ns.seed, "xc": theory.xc,
+        "share_accepted_above_xc": share, "threshold": 0.99,
+        "pass": share >= 0.99,
+    })
+    return EXIT_OK
 
-    else:  # fig2
-        seed = ns.seed if ns.seed is not None else FIG2_SEED
-        prices = sample(model, SeedSpec(seed, 0), FIG2_N)
-        result = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
-        avalanches, survival = _avalanche_survival(result.sale_prices, xc,
-                                                   FIG2_KMIN, FIG2_KMAX)
-        fit = analytics.fit_power_tail(survival, FIG2_KMIN, FIG2_KMAX,
-                                       durations=avalanches.durations,
-                                       seed=seed)
-        ks, ps = survival
-        anchor = ps[0] / ks[0] ** fit.slope
-        _write_csv(out / "fig2.csv", ["k", "survival", "fit_survival"],
-                   ((int(k), float(p), float(anchor * k ** fit.slope))
-                    for k, p in zip(ks, ps)))
-        err = abs(fit.slope - FIG2_TARGET_SLOPE)
-        _write_json(out / "fig2_verdict.json", {
-            "figure": "fig2", "n_bids": FIG2_N, "seed": seed,
-            "n_avalanches": avalanches.n_avalanches,
-            "slope": fit.slope, "stderr": fit.stderr,
-            "target_slope": FIG2_TARGET_SLOPE, "tolerance": FIG2_TOLERANCE,
-            "pass": bool(err <= FIG2_TOLERANCE),
-        })
+
+def cmd_fig1b(ns) -> int:
+    out, model, theory = _figure_setup(ns)
+    if ns.replicas < 2:
+        raise ModelSpecError(
+            f"--replicas must be >= 2 for the fig1b band, got {ns.replicas}")
+    grid = np.asarray(FIG1B_GRID, dtype=np.int64)
+    jobs = [(model, FIG1B_N, ns.seed, r, grid) for r in range(ns.replicas)]
+    tis = np.array(montecarlo.map_replicas(_fig1b_replica, jobs, ns.threads))
+    mean = tis.mean(axis=0)
+    sd = tis.std(axis=0, ddof=1)
+    low, high = mean - 3 * sd, mean + 3 * sd
+    theory_line = theory.expected_ti_per_bid * grid
+    _write_csv(out / "fig1b.csv", {
+        "n_bids": grid, "mean_ti": mean, "sd_ti": sd, "band_low": low,
+        "band_high": high, "theory_ti": theory_line})
+    inside = (theory_line >= low) & (theory_line <= high)
+    all_inside = bool(inside[grid >= 50].all())
+    _write_json(out / "fig1b_verdict.json", {
+        "figure": "fig1b", "n_bids": FIG1B_N, "replicas": ns.replicas,
+        "seed": ns.seed, "ti_per_bid_theory": theory.expected_ti_per_bid,
+        "n_grid_points": int(len(grid)),
+        "all_inside_band_n_ge_50": all_inside, "pass": all_inside,
+    })
+    return EXIT_OK
+
+
+def cmd_fig2(ns) -> int:
+    out, model, theory = _figure_setup(ns)
+    prices = sample(model, SeedSpec(ns.seed, 0), FIG2_N)
+    result = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
+    avalanches, survival = _avalanche_survival(result.sale_prices, theory.xc,
+                                               FIG2_KMIN, FIG2_KMAX)
+    fit = analytics.fit_power_tail(survival, FIG2_KMIN, FIG2_KMAX,
+                                   durations=avalanches.durations, seed=ns.seed)
+    ks, ps = survival
+    anchor = ps[0] / ks[0] ** fit.slope
+    _write_csv(out / "fig2.csv", {"k": ks, "survival": ps,
+                                  "fit_survival": anchor * ks ** fit.slope})
+    err = abs(fit.slope - FIG2_TARGET_SLOPE)
+    _write_json(out / "fig2_verdict.json", {
+        "figure": "fig2", "n_bids": FIG2_N, "seed": ns.seed,
+        "n_avalanches": avalanches.n_avalanches,
+        "slope": fit.slope, "stderr": fit.stderr,
+        "target_slope": FIG2_TARGET_SLOPE, "tolerance": FIG2_TOLERANCE,
+        "pass": bool(err <= FIG2_TOLERANCE),
+    })
     return EXIT_OK
 
 
@@ -341,14 +334,22 @@ def cmd_replicate(ns) -> int:
 # Parser
 # =====================================================================
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="price model spec, e.g. lognormal:mu=0,sigma=0.3")
     p.add_argument("--base-price", type=float, default=None,
                    help="truncate the model below this base price")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (fallback: ${SEED_ENV_VAR}, then 0)")
     p.add_argument("--pc", type=float, default=E_INV,
                    help="never-accepted fraction for the critical price (default 1/e)")
+
+
+def _add_run_flags(p: argparse.ArgumentParser, n: int) -> None:
+    _add_model_flags(p)
+    p.add_argument("--rule", choices=[r.value for r in Rule], default="classic")
+    p.add_argument("--n", type=int, default=n, help=f"number of bids (default {n})")
+    p.add_argument("--prices-file", default=None,
+                   help="one price per line; overrides --model")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"master seed (fallback: ${SEED_ENV_VAR}, then 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", default="csv,json",
                    help="comma list from {csv,json} (default both)")
@@ -361,42 +362,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one auction, write event log + summary")
-    p.add_argument("--rule", choices=[r.value for r in Rule], default="classic")
-    p.add_argument("--n", type=int, default=1000, help="number of bids")
-    p.add_argument("--prices-file", default=None,
-                   help="one price per line; overrides --model")
-    _add_run_flags(p)
+    _add_run_flags(p, n=1000)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("theory", help="theoretical summary for a price model")
-    p.add_argument("--model", required=False,
-                   help="price model spec, e.g. lognormal:mu=0,sigma=0.3")
-    p.add_argument("--base-price", type=float, default=None)
-    p.add_argument("--pc", type=float, default=E_INV)
+    _add_model_flags(p)
     p.add_argument("--b", type=float, default=analytics.B_DEFAULT,
                    help="accepted-count variance constant")
     p.add_argument("--out", default=None, help="also write theory.json here")
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("avalanches", help="segment avalanches and fit the tail")
-    p.add_argument("--rule", choices=[r.value for r in Rule], default="classic")
-    p.add_argument("--n", type=int, default=2_000_000)
-    p.add_argument("--prices-file", default=None)
+    _add_run_flags(p, n=2_000_000)
     p.add_argument("--kmin", type=int, default=100)
     p.add_argument("--kmax", type=int, default=10_000)
-    _add_run_flags(p)
     p.set_defaults(func=cmd_avalanches)
 
-    p = sub.add_parser("replicate", help="reproduce a reference figure as data")
-    p.add_argument("figure", choices=["fig1a", "fig1b", "fig2"])
-    p.add_argument("--replicas", type=int, default=None,
-                   help="override the canonical replica count (fig1b)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the canonical master seed")
-    p.add_argument("--out", default=".")
+    figures = sub.add_parser("replicate", help="reproduce a reference figure as data"
+                             ).add_subparsers(dest="figure", required=True)
+    for name, func, seed in (("fig1a", cmd_fig1a, FIG1A_SEED),
+                             ("fig1b", cmd_fig1b, FIG1B_SEED),
+                             ("fig2", cmd_fig2, FIG2_SEED)):
+        p = figures.add_parser(name)
+        p.add_argument("--seed", type=int, default=seed,
+                       help=f"master seed (default {seed}, the canonical one)")
+        p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(func=func)
+    p = figures.choices["fig1b"]
+    p.add_argument("--replicas", type=int, default=FIG1B_REPLICAS,
+                   help=f"number of replicas (default {FIG1B_REPLICAS})")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for fig1b replicas (results unchanged)")
-    p.set_defaults(func=cmd_replicate)
+                   help="worker processes for the replicas (results unchanged)")
 
     return parser
 

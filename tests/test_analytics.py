@@ -68,6 +68,8 @@ def test_theory_summary_domain():
 def test_empirical_critical_price():
     prices = np.arange(1.0, 101.0)
     assert empirical_critical_price(prices, 0.5) == pytest.approx(50.5)
+    with pytest.raises(ValueError, match="empty price sample"):
+        empirical_critical_price([])
 
 
 # =====================================================================

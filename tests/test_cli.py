@@ -1,5 +1,6 @@
 """CLI tests: file schemas, round trips, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from soc_auction.cli import main
+from soc_auction.cli import CSV_BLOCK_ROWS, _write_csv, build_parser, main
 
 WORKED = "14\n15\n18\n13\n16\n12\n10\n"
 
@@ -25,6 +26,11 @@ def test_simulate_worked_example_prices_file(tmp_path):
     rc = main(["simulate", "--prices-file", str(pf), "--rule", "classic",
                "--out", str(tmp_path)])
     assert rc == 0
+    # integer-valued reals are bare, the sale cells empty where none fired
+    assert (tmp_path / "events.csv").read_text() == (
+        "bid_index,price,sale_flag,sale_price,trigger_index,ntilde\n"
+        "1,14,0,,,0\n2,15,0,,,0\n3,18,0,,,0\n4,13,1,18,4,1\n"
+        "5,16,0,,,1\n6,12,1,16,6,2\n7,10,1,15,7,3\n")
     rows = read_csv(tmp_path / "events.csv")
     assert len(rows) == 7
     sold = [(float(r["sale_price"]), int(r["trigger_index"])) for r in rows
@@ -35,6 +41,35 @@ def test_simulate_worked_example_prices_file(tmp_path):
     assert summary["n_sales"] == 3
     assert summary["total_income"] == 49.0
     assert summary["model"] is None and summary["master_seed"] is None
+
+
+def test_write_csv_format_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, {
+        "i": np.array([1, -2, 30]),
+        "x": np.array([0.1, 5.0, 1e300]),
+        "m": np.ma.array([2.5, 7.0, 3.0], mask=[False, True, False]),
+    })
+    assert path.read_bytes() == (
+        b"i,x,m\n"
+        b"1,0.10000000000000001,2.5\n"
+        b"-2,5,\n"
+        b"30,1.0000000000000001e+300,3\n")
+
+
+def test_write_csv_across_block_boundary(tmp_path):
+    n = CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    ints = rng.integers(-10**12, 10**12, n)
+    reals = rng.lognormal(0, 3, n)
+    masked = np.ma.array(rng.normal(size=n), mask=rng.random(n) < 0.4)
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"a": ints, "b": reals, "c": masked})
+    naive = "a,b,c\n" + "".join(
+        ",".join((str(int(a)), f"{float(b):.17g}",
+                  "" if c is np.ma.masked else f"{float(c):.17g}")) + "\n"
+        for a, b, c in zip(ints, reals, masked))
+    assert path.read_text() == naive
 
 
 def test_simulate_model_run_and_refold_round_trip(tmp_path):
@@ -282,6 +317,15 @@ def test_replicate_fig1b_rejects_nonpositive_threads(tmp_path, capsys, threads):
     assert not list(tmp_path.glob("fig1b*"))
 
 
+@pytest.mark.parametrize("figure", ["fig1a", "fig2"])
+def test_replicate_rejects_fig1b_only_flags(tmp_path, figure):
+    for flags in (["--threads", "-3"], ["--replicas", "0"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", figure, *flags, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_replicate_fig2(tmp_path):
     rc = main(["replicate", "fig2", "--out", str(tmp_path)])
     assert rc == 0
@@ -318,3 +362,30 @@ def test_cli_subprocess_entry_and_usage_error():
         with pytest.raises(SystemExit) as exc:
             main([command, "--threads", "2"])
         assert exc.value.code == 2
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _dests(parser):
+    return {a.dest for a in parser._actions if a.dest != "help"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    commands = _subcommands(build_parser())
+    model = {"model", "base_price", "pc"}
+    run = model | {"rule", "n", "prices_file", "seed", "out", "format"}
+    assert _dests(commands["simulate"]) == run
+    assert _dests(commands["avalanches"]) == run | {"kmin", "kmax"}
+    assert _dests(commands["theory"]) == model | {"b", "out"}
+    assert _dests(commands["replicate"]) == {"figure"}
+    figures = _subcommands(commands["replicate"])
+    assert _dests(figures["fig1a"]) == _dests(figures["fig2"]) == {"seed", "out"}
+    assert _dests(figures["fig1b"]) == {"seed", "out", "replicas", "threads"}
+    # the shared flags keep each command's own defaults
+    assert commands["simulate"].parse_args([]).n == 1000
+    assert commands["avalanches"].parse_args([]).n == 2_000_000
+    assert commands["theory"].parse_args([]).out is None
