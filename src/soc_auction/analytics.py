@@ -266,16 +266,12 @@ class TailFit:
 
 
 def _median_pairwise_slope(logk: np.ndarray, logp: np.ndarray) -> float:
-    chunks = []
-    for i in range(len(logk) - 1):
-        dx = logk[i + 1:] - logk[i]
-        dy = logp[i + 1:] - logp[i]
-        good = dx != 0
-        if good.any():
-            chunks.append(dy[good] / dx[good])
-    if not chunks:
+    i, j = np.triu_indices(len(logk), 1)
+    dx = logk[j] - logk[i]
+    good = dx != 0
+    if not good.any():
         raise InsufficientDataError("no distinct k pairs to form slopes")
-    return float(np.median(np.concatenate(chunks)))
+    return float(np.median((logp[j] - logp[i])[good] / dx[good]))
 
 
 def fit_power_tail(survival: tuple[np.ndarray, np.ndarray], k_min: int,

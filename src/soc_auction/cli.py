@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -125,8 +126,6 @@ def _get_run(ns, seed: int) -> tuple[RunResult, PriceModel | None, np.ndarray]:
     if ns.prices_file is not None:
         prices = _load_prices_file(ns.prices_file)
     elif model is not None:
-        if ns.n < 1:
-            raise ModelSpecError(f"--n must be >= 1, got {ns.n}")
         prices = sample(model, SeedSpec(seed, 0), ns.n)
     else:
         raise ModelSpecError("either --model or --prices-file is required")
@@ -209,16 +208,18 @@ def cmd_theory(ns) -> int:
     return EXIT_OK
 
 
-def _avalanche_survival(sale_prices: np.ndarray, xc: float, k_min: int,
-                        k_max: int) -> tuple[analytics.AvalancheSet, tuple]:
-    """Complete avalanches of a run and their survival on a log grid."""
+def _avalanche_fit(sale_prices: np.ndarray, xc: float, k_min: int, k_max: int,
+                   seed: int) -> tuple[analytics.AvalancheSet, tuple, analytics.TailFit]:
+    """Complete avalanches of a run, their log-grid survival and its tail fit."""
     avalanches = analytics.segment_avalanches(sale_prices, xc)
     if avalanches.n_avalanches == 0:
         raise InsufficientDataError(
             "no complete avalanches: run too short or threshold too extreme")
     survival = analytics.survival_function(
         avalanches.durations, grid="log", k_min=k_min, k_max=k_max)
-    return avalanches, survival
+    fit = analytics.fit_power_tail(survival, k_min, k_max,
+                                   durations=avalanches.durations, seed=seed)
+    return avalanches, survival, fit
 
 
 def cmd_avalanches(ns) -> int:
@@ -226,18 +227,14 @@ def cmd_avalanches(ns) -> int:
     fmts = _formats(ns)
     result, model, prices = _get_run(ns, seed)
     xc = _xc_for(model, prices, ns.pc)
-    avalanches, survival = _avalanche_survival(result.sale_prices, xc,
-                                               ns.kmin, ns.kmax)
+    # fit before writing, so a failed fit leaves no output behind
+    avalanches, survival, fit = _avalanche_fit(result.sale_prices, xc,
+                                               ns.kmin, ns.kmax, seed)
     out = _out_dir(ns)
-
-    # durations and survival are valid even when the tail fit is not
     if "csv" in fmts:
         _write_csv(out / "durations.csv", {"duration": avalanches.durations})
         ks, ps = survival
         _write_csv(out / "survival.csv", {"k": ks, "survival": ps})
-
-    fit = analytics.fit_power_tail(survival, ns.kmin, ns.kmax,
-                                   durations=avalanches.durations, seed=seed)
     if "json" in fmts:
         _write_json(out / "tail_fit.json", {
             **dataclasses.asdict(fit),
@@ -249,12 +246,10 @@ def cmd_avalanches(ns) -> int:
     return EXIT_OK
 
 
-def _fig1b_replica(args) -> np.ndarray:
-    model, n_bids, master_seed, replica_id, grid = args
-    prices = sample(model, SeedSpec(master_seed, replica_id), n_bids)
-    res = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
-    cum = np.cumsum(res.sale_prices)
-    pos = np.searchsorted(res.trigger_indices, grid, side="right")
+def _incomes_at(grid: np.ndarray, seed: SeedSpec, run: RunResult) -> np.ndarray:
+    """A run's total income after each grid count of bids."""
+    cum = np.cumsum(run.sale_prices)
+    pos = np.searchsorted(run.trigger_indices, grid, side="right")
     return np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
 
 
@@ -287,8 +282,9 @@ def cmd_fig1b(ns) -> int:
         raise ModelSpecError(
             f"--replicas must be >= 2 for the fig1b band, got {ns.replicas}")
     grid = np.asarray(FIG1B_GRID, dtype=np.int64)
-    jobs = [(model, FIG1B_N, ns.seed, r, grid) for r in range(ns.replicas)]
-    tis = np.array(montecarlo.map_replicas(_fig1b_replica, jobs, ns.threads))
+    tis = np.array(montecarlo.map_replicas(
+        model, Rule.CLASSIC, FIG1B_N, ns.replicas, ns.seed,
+        functools.partial(_incomes_at, grid), ns.threads))
     mean = tis.mean(axis=0)
     sd = tis.std(axis=0, ddof=1)
     low, high = mean - 3 * sd, mean + 3 * sd
@@ -311,10 +307,8 @@ def cmd_fig2(ns) -> int:
     out, model, theory = _figure_setup(ns)
     prices = sample(model, SeedSpec(ns.seed, 0), FIG2_N)
     result = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
-    avalanches, survival = _avalanche_survival(result.sale_prices, theory.xc,
-                                               FIG2_KMIN, FIG2_KMAX)
-    fit = analytics.fit_power_tail(survival, FIG2_KMIN, FIG2_KMAX,
-                                   durations=avalanches.durations, seed=ns.seed)
+    avalanches, survival, fit = _avalanche_fit(result.sale_prices, theory.xc,
+                                               FIG2_KMIN, FIG2_KMAX, ns.seed)
     ks, ps = survival
     anchor = ps[0] / ks[0] ** fit.slope
     _write_csv(out / "fig2.csv", {"k": ks, "survival": ps,
@@ -342,10 +336,22 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="never-accepted fraction for the critical price (default 1/e)")
 
 
+def _bid_count(text: str) -> int:
+    """An integral count >= 1, written as an int or a float ('1e5')."""
+    try:
+        v = float(text)
+        if v >= 1 and v.is_integer():
+            return int(v)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
+
+
 def _add_run_flags(p: argparse.ArgumentParser, n: int) -> None:
     _add_model_flags(p)
     p.add_argument("--rule", choices=[r.value for r in Rule], default="classic")
-    p.add_argument("--n", type=int, default=n, help=f"number of bids (default {n})")
+    p.add_argument("--n", type=_bid_count, default=n,
+                   help=f"number of bids, e.g. 1000 or 1e5 (default {n})")
     p.add_argument("--prices-file", default=None,
                    help="one price per line; overrides --model")
     p.add_argument("--seed", type=int, default=None,
@@ -402,9 +408,6 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except ModelSpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except InsufficientDataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -1,9 +1,9 @@
 """Replica orchestration and estimation of the limit constants.
 
-Replica r always draws its prices from SeedSpec(master_seed, r), so results
-are deterministic for fixed inputs and independent of how many workers run
-them or in which order they finish: aggregation is a plain fold in
-replica_id order.
+`_one_replica` is the one place that addresses a replica's seed: replica r
+draws its prices from SeedSpec(master_seed, r) and is folded without a
+trajectory. `map_replicas` returns each replica's reduction in replica
+order, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from .distributions import PriceModel, SeedSpec, sample
-from .engine import Rule, run_sequence
+from .engine import Rule, RunResult, run_sequence
 from .errors import InsufficientDataError
 
 
@@ -45,43 +46,43 @@ def _z_value(level: float) -> float:
     return float(ndtri(0.5 + level / 2.0))
 
 
-def map_replicas(fn, jobs: list, workers: int = 1) -> list:
-    """Apply `fn` to each job, in a pool of `workers` processes when
-    workers > 1.
-
-    Results come back in job order, so they do not depend on the worker
-    count. `fn` must be a module-level function so the pool can send it.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
-
-
-def _one_replica(job) -> ReplicaResult:
-    model, rule, n_bids, master_seed, replica_id = job
+def _one_replica(model: PriceModel, rule: Rule, n_bids: int,
+                 master_seed: int, reduce, replica_id: int):
     seed = SeedSpec(master_seed, replica_id)
     prices = sample(model, seed, n_bids)
-    result = run_sequence(rule, prices, collect_trajectory=False)
-    return ReplicaResult(replica_id=replica_id, n_bids=n_bids,
-                         n_sales=result.n_sales,
-                         total_income=result.total_income, seed=seed)
+    return reduce(seed, run_sequence(rule, prices, collect_trajectory=False))
+
+
+def map_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
+                 n_replicas: int, master_seed: int, reduce,
+                 workers: int = 1) -> list:
+    """`reduce(seed, run)` of each replica in replica order, in a pool of
+    `workers` processes when workers > 1 (so `reduce` must pickle)."""
+    if n_bids < 1:
+        raise ValueError(f"n_bids must be >= 1, got {n_bids}")
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    one = partial(_one_replica, model, Rule(rule), n_bids, master_seed, reduce)
+    if workers == 1 or n_replicas == 1:
+        return [one(r) for r in range(n_replicas)]
+    chunk = max(1, n_replicas // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(n_replicas), chunksize=chunk))
+
+
+def _summary(seed: SeedSpec, run: RunResult) -> ReplicaResult:
+    return ReplicaResult(seed.stream_id, run.n_bids, run.n_sales,
+                         run.total_income, seed)
 
 
 def run_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
                  n_replicas: int, master_seed: int, *,
                  workers: int = 1) -> list[ReplicaResult]:
     """Run independent replicas; output is invariant under `workers`."""
-    if n_bids < 1:
-        raise ValueError(f"n_bids must be >= 1, got {n_bids}")
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    rule = Rule(rule)
-    jobs = [(model, rule, n_bids, master_seed, r) for r in range(n_replicas)]
-    return map_replicas(_one_replica, jobs, workers)
+    return map_replicas(model, rule, n_bids, n_replicas, master_seed,
+                        _summary, workers)
 
 
 def _check_uniform_n(results: list[ReplicaResult]) -> int:
@@ -89,6 +90,21 @@ def _check_uniform_n(results: list[ReplicaResult]) -> int:
     if len(ns) != 1:
         raise ValueError(f"replicas mix different n_bids: {sorted(ns)}")
     return ns.pop()
+
+
+def _bootstrap_ci(stat, samples: dict, level: float, n_bootstrap: int,
+                  seed: int) -> EstimateWithCI:
+    """`stat(samples)` with a percentile CI over resamples of every array,
+    each drawn with replacement in dict order from SeedSpec(seed)."""
+    point = stat(samples)
+    rng = SeedSpec(seed).generator()
+    boots = np.empty(n_bootstrap)
+    for i in range(n_bootstrap):
+        boots[i] = stat({k: rng.choice(v, size=len(v), replace=True)
+                         for k, v in samples.items()})
+    lo, hi = np.quantile(boots, [(1 - level) / 2, (1 + level) / 2])
+    return EstimateWithCI(point, min(float(lo), point), max(float(hi), point),
+                          sum(map(len, samples.values())), level)
 
 
 def estimate_pc(results: list[ReplicaResult], level: float = 0.95) -> EstimateWithCI:
@@ -138,17 +154,7 @@ def estimate_b(results_by_n: dict[int, list[ReplicaResult]],
         w = (r - 1.0) / (2.0 * np.maximum(v, v[v > 0].min() * 1e-12) ** 2)
         return float((w * ns * v).sum() / (w * ns * ns).sum())
 
-    point = slope_of(counts)
-    rng = SeedSpec(seed).generator()
-    boots = np.empty(n_bootstrap)
-    for i in range(n_bootstrap):
-        resampled = {n: rng.choice(c, size=len(c), replace=True)
-                     for n, c in counts.items()}
-        boots[i] = slope_of(resampled)
-    lo, hi = np.quantile(boots, [(1 - level) / 2, (1 + level) / 2])
-    n_total = sum(len(res) for res in results_by_n.values())
-    return EstimateWithCI(point, min(float(lo), point), max(float(hi), point),
-                          n_total, level)
+    return _bootstrap_ci(slope_of, counts, level, n_bootstrap, seed)
 
 
 def estimate_af(results: list[ReplicaResult], level: float = 0.95,
@@ -158,14 +164,8 @@ def estimate_af(results: list[ReplicaResult], level: float = 0.95,
         raise InsufficientDataError(f"need >= 200 replicas, got {len(results)}")
     n = _check_uniform_n(results)
     ti = np.array([r.total_income for r in results])
-    point = float(ti.var(ddof=1)) / n
-    rng = SeedSpec(seed).generator()
-    boots = np.empty(n_bootstrap)
-    for i in range(n_bootstrap):
-        boots[i] = rng.choice(ti, size=len(ti), replace=True).var(ddof=1) / n
-    lo, hi = np.quantile(boots, [(1 - level) / 2, (1 + level) / 2])
-    return EstimateWithCI(point, min(float(lo), point), max(float(hi), point),
-                          len(results), level)
+    return _bootstrap_ci(lambda s: float(s[n].var(ddof=1)) / n, {n: ti},
+                         level, n_bootstrap, seed)
 
 
 class NormalityDiagnostics(NamedTuple):

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from soc_auction.cli import CSV_BLOCK_ROWS, _write_csv, build_parser, main
+from soc_auction import Rule, SeedSpec, parse_model, run_sequence, sample
+from soc_auction.cli import (CSV_BLOCK_ROWS, FIG1B_GRID, FIG1B_N, FIG1B_SEED,
+                             FIG_MODEL, _write_csv, build_parser, main)
 
 WORKED = "14\n15\n18\n13\n16\n12\n10\n"
 
@@ -18,6 +20,14 @@ WORKED = "14\n15\n18\n13\n16\n12\n10\n"
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_simulate_worked_example_prices_file(tmp_path):
@@ -89,6 +99,24 @@ def test_simulate_model_run_and_refold_round_trip(tmp_path):
     # sales fraction near 1 - 1/e
     assert abs(summary["sales_fraction"] - (1 - math.exp(-1))) < 0.03
     assert summary["xc_used"] == pytest.approx(0.90371, abs=1e-5)
+
+
+def test_simulate_n_accepts_float_notation(tmp_path):
+    for n, out in (("1000", tmp_path / "int"), ("1e3", tmp_path / "float")):
+        assert main(["simulate", "--model", "lognormal:mu=0,sigma=0.3",
+                     "--n", n, "--seed", "4", "--out", str(out)]) == 0
+    assert ((tmp_path / "int" / "events.csv").read_bytes()
+            == (tmp_path / "float" / "events.csv").read_bytes())
+
+
+@pytest.mark.parametrize("n", ["1.5", "0", "-3", "abc", "inf", "nan"])
+def test_simulate_rejects_bad_n(tmp_path, n):
+    pf = tmp_path / "prices.txt"
+    pf.write_text(WORKED)
+    out = tmp_path / "out"
+    for source in (["--model", "uniform:lo=0,hi=1"], ["--prices-file", str(pf)]):
+        assert exit_code(["simulate", *source, "--n", n, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_simulate_accept_all_income_is_sum(tmp_path):
@@ -227,15 +255,16 @@ def test_avalanches_synthetic_alternating(tmp_path, capsys):
     # repeating 3, 1, 0.5 sells 3, 1, 3, 1, ... and the empirical critical
     # price sits at 1, so sale prices alternate around it: every avalanche
     # lasts exactly one sale. There is then no tail to fit in any window,
-    # so after writing the durations the command reports insufficient data.
+    # so the command reports insufficient data and writes nothing.
     pf = tmp_path / "prices.txt"
     pf.write_text("3.0\n1.0\n0.5\n" * 100)
+    out = tmp_path / "out"
     rc = main(["avalanches", "--prices-file", str(pf), "--kmin", "2",
-               "--kmax", "50", "--out", str(tmp_path)])
+               "--kmax", "50", "--out", str(out)])
     assert rc == 4
-    durations = [int(r["duration"]) for r in read_csv(tmp_path / "durations.csv")]
-    assert durations and all(d == 1 for d in durations)
-    assert not (tmp_path / "tail_fit.json").exists()
+    assert "survival points" in capsys.readouterr().err
+    for name in ("durations.csv", "survival.csv", "tail_fit.json"):
+        assert not (out / name).exists()
 
 
 def test_avalanches_moderate_run_writes_fit(tmp_path):
@@ -289,6 +318,20 @@ def test_replicate_fig1b_small(tmp_path):
     assert verdict["pass"] is True
     for r in rows:
         assert float(r["band_low"]) <= float(r["theory_ti"]) <= float(r["band_high"])
+    # the band is the spread of replica r's income, seeded SeedSpec(seed, r)
+    model = parse_model(FIG_MODEL)
+    grid = np.array(FIG1B_GRID)
+    tis = []
+    for r in range(40):
+        run = run_sequence(Rule.CLASSIC,
+                           sample(model, SeedSpec(FIG1B_SEED, r), FIG1B_N))
+        income = np.zeros(FIG1B_N)
+        income[run.trigger_indices - 1] = run.sale_prices
+        tis.append(np.cumsum(income)[grid - 1])
+    tis = np.array(tis)
+    assert [int(r["n_bids"]) for r in rows] == list(FIG1B_GRID)
+    assert [float(r["mean_ti"]) for r in rows] == tis.mean(axis=0).tolist()
+    assert [float(r["sd_ti"]) for r in rows] == tis.std(axis=0, ddof=1).tolist()
     # the worker pool returns replicas in order: same bytes as one process
     pooled = tmp_path / "pooled"
     rc = main(["replicate", "fig1b", "--replicas", "40", "--threads", "2",

@@ -156,6 +156,24 @@ def test_estimate_b_errors_name_the_deficient_n():
         estimate_b({100: ok, 250: ok})
 
 
+def test_bootstrap_bounds_are_pinned():
+    # the resamples are drawn in a fixed order, so the bounds repeat exactly
+    model = LogNormal(0, 0.3)
+    results = {n: run_replicas(model, Rule.CLASSIC, n, 120, master_seed=s)
+               for n, s in ((1000, 50), (2000, 51), (4000, 52))}
+    est = estimate_b(results, n_bootstrap=200)
+    assert est.point == 0.03625200065916053
+    assert (est.ci_low, est.ci_high) == (0.030063555111421225,
+                                         0.04100442959341612)
+    assert est.n_replicas == 360
+    reps = run_replicas(model, Rule.CLASSIC, 1000, 250, master_seed=77)
+    est = estimate_af(reps, n_bootstrap=200)
+    assert est.point == 0.09464302343589348
+    assert (est.ci_low, est.ci_high) == (0.07953323081047207,
+                                         0.10874274805456272)
+    assert est.n_replicas == 250
+
+
 def test_estimate_af_accept_all_matches_model_variance():
     model = Uniform(0, 1)
     reps = run_replicas(model, Rule.ACCEPT_ALL, 2000, 300, master_seed=5)
