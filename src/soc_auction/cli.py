@@ -253,18 +253,18 @@ def _incomes_at(grid: np.ndarray, seed: SeedSpec, run: RunResult) -> np.ndarray:
     return np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
 
 
-def _figure_setup(ns) -> tuple[Path, PriceModel, analytics.TheorySummary]:
-    out = _out_dir(ns)
+def _figure_setup() -> tuple[PriceModel, analytics.TheorySummary]:
     model = parse_model(FIG_MODEL)
-    return out, model, analytics.theory_summary(model)
+    return model, analytics.theory_summary(model)
 
 
 def cmd_fig1a(ns) -> int:
-    out, model, theory = _figure_setup(ns)
+    model, theory = _figure_setup()
     prices = sample(model, SeedSpec(ns.seed, 0), FIG1A_N)
     result = run_sequence(Rule.CLASSIC, prices)
     accepted = np.zeros(FIG1A_N, dtype=np.int64)
     accepted[result.accepted_indices - 1] = 1
+    out = _out_dir(ns)
     _write_csv(out / "fig1a.csv", {"bid_index": np.arange(1, FIG1A_N + 1),
                                    "price": prices, "accepted": accepted})
     share = float(np.mean(result.sale_prices > theory.xc))
@@ -277,7 +277,7 @@ def cmd_fig1a(ns) -> int:
 
 
 def cmd_fig1b(ns) -> int:
-    out, model, theory = _figure_setup(ns)
+    model, theory = _figure_setup()
     if ns.replicas < 2:
         raise ModelSpecError(
             f"--replicas must be >= 2 for the fig1b band, got {ns.replicas}")
@@ -289,6 +289,7 @@ def cmd_fig1b(ns) -> int:
     sd = tis.std(axis=0, ddof=1)
     low, high = mean - 3 * sd, mean + 3 * sd
     theory_line = theory.expected_ti_per_bid * grid
+    out = _out_dir(ns)
     _write_csv(out / "fig1b.csv", {
         "n_bids": grid, "mean_ti": mean, "sd_ti": sd, "band_low": low,
         "band_high": high, "theory_ti": theory_line})
@@ -304,13 +305,14 @@ def cmd_fig1b(ns) -> int:
 
 
 def cmd_fig2(ns) -> int:
-    out, model, theory = _figure_setup(ns)
+    model, theory = _figure_setup()
     prices = sample(model, SeedSpec(ns.seed, 0), FIG2_N)
     result = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
     avalanches, survival, fit = _avalanche_fit(result.sale_prices, theory.xc,
                                                FIG2_KMIN, FIG2_KMAX, ns.seed)
     ks, ps = survival
     anchor = ps[0] / ks[0] ** fit.slope
+    out = _out_dir(ns)
     _write_csv(out / "fig2.csv", {"k": ks, "survival": ps,
                                   "fit_survival": anchor * ks ** fit.slope})
     err = abs(fit.slope - FIG2_TARGET_SLOPE)

@@ -344,20 +344,21 @@ def test_replicate_fig1b_small(tmp_path):
 @pytest.mark.parametrize("replicas", ["1", "0", "-2"])
 def test_replicate_fig1b_needs_two_replicas(tmp_path, capsys, replicas):
     # one replica has no spread to draw the band from
-    rc = main(["replicate", "fig1b", "--replicas", replicas,
-               "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["replicate", "fig1b", "--replicas", replicas, "--out", str(out)])
     assert rc == 2
     assert "--replicas" in capsys.readouterr().err
-    assert not list(tmp_path.glob("fig1b*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_replicate_fig1b_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    out = tmp_path / "out"
     rc = main(["replicate", "fig1b", "--replicas", "4", "--threads", threads,
-               "--out", str(tmp_path)])
+               "--out", str(out)])
     assert rc == 2
     assert "workers" in capsys.readouterr().err
-    assert not list(tmp_path.glob("fig1b*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("figure", ["fig1a", "fig2"])
@@ -386,11 +387,11 @@ def test_replicate_fig2_without_avalanches_is_insufficient_data(
     # at 5e5 bids seed 8 has no complete avalanche: no run of sales above
     # xc is delimited on both sides
     monkeypatch.setattr("soc_auction.cli.FIG2_N", 500_000)
-    rc = main(["replicate", "fig2", "--seed", "8", "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["replicate", "fig2", "--seed", "8", "--out", str(out)])
     assert rc == 4
     assert "no complete avalanches" in capsys.readouterr().err
-    assert not (tmp_path / "fig2.csv").exists()
-    assert not (tmp_path / "fig2_verdict.json").exists()
+    assert not out.exists()
 
 
 def test_cli_subprocess_entry_and_usage_error():

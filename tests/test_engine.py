@@ -1,18 +1,38 @@
 """Engine unit tests: selling rules, state invariants, oracle equivalence."""
 
+import dataclasses
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, SaleRecord,
-                         SeedSpec, oracle_run, quantile, run_sequence, sample,
-                         uniform_stream)
+from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, RunResult,
+                         SaleRecord, SeedSpec, engine, oracle_run, quantile,
+                         run_sequence, sample, uniform_stream)
 
 WORKED_PRICES = [14, 15, 18, 13, 16, 12, 10]
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request, monkeypatch):
+    """run_sequence folds in the C kernel, or in the Python heap fold `_fold`."""
+    if request.param == "python":
+        monkeypatch.setattr(engine, "_KERNEL", False)
+    elif not engine._kernel():
+        pytest.skip("the C fold kernel cannot be built here")
+    return request.param
+
+
+def assert_same_run(a: RunResult, b: RunResult) -> None:
+    for f in dataclasses.fields(RunResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def test_worked_example_classic():
@@ -148,9 +168,12 @@ def test_run_sequence_rejects_nonpositive():
             run_sequence(Rule.CLASSIC, [1.0, bad, 0.5])
         with pytest.raises(ValueError):
             run_sequence(Rule.CLASSIC, np.array([1.0, bad, 0.5]))
+    for shape in (2.0, [[1.0, 2.0], [3.0, 4.0]]):  # the fold reads a flat vector
+        with pytest.raises(ValueError, match="flat"):
+            run_sequence(Rule.CLASSIC, shape)
 
 
-def test_conservation_identity():
+def test_conservation_identity(backend):
     rng = np.random.default_rng(7)
     for rule in Rule:
         for _ in range(20):
@@ -194,7 +217,7 @@ def test_rank_invariance_small():
         assert np.array_equal(res.trigger_indices, base.trigger_indices)
 
 
-def test_oracle_equivalence_random_sequences():
+def test_oracle_equivalence_random_sequences(backend):
     rng = np.random.default_rng(23)
     for case in range(120):
         n = int(rng.integers(1, 200))
@@ -205,30 +228,18 @@ def test_oracle_equivalence_random_sequences():
         else:
             prices = rng.integers(1, 8, n).astype(float)  # rich in ties
         rule = [Rule.CLASSIC, Rule.TWO_CONSECUTIVE, Rule.ACCEPT_ALL][case % 3]
-        fast = run_sequence(rule, prices)
-        slow = oracle_run(rule, prices)
-        assert np.array_equal(fast.sale_prices, slow.sale_prices)
-        assert np.array_equal(fast.accepted_indices, slow.accepted_indices)
-        assert np.array_equal(fast.trigger_indices, slow.trigger_indices)
-        assert np.array_equal(fast.ntilde, slow.ntilde)
-        assert np.array_equal(fast.remaining_prices, slow.remaining_prices)
-        assert np.array_equal(fast.remaining_indices, slow.remaining_indices)
+        assert_same_run(run_sequence(rule, prices), oracle_run(rule, prices))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# the backend fixture is set once per test and holds for every example
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(prices=st.lists(st.integers(1, 5).map(float), max_size=60),
        cut=st.integers(0, 60))
-def test_fold_oracle_engine_agree_on_ties(prices, cut):
+def test_fold_oracle_engine_agree_on_ties(backend, prices, cut):
     for rule in Rule:
         fast = run_sequence(rule, prices)
-        slow = oracle_run(rule, prices)
-        for a, b in ((fast.sale_prices, slow.sale_prices),
-                     (fast.accepted_indices, slow.accepted_indices),
-                     (fast.trigger_indices, slow.trigger_indices),
-                     (fast.ntilde, slow.ntilde),
-                     (fast.remaining_prices, slow.remaining_prices),
-                     (fast.remaining_indices, slow.remaining_indices)):
-            assert np.array_equal(a, b)
+        assert_same_run(fast, oracle_run(rule, prices))
 
         eng = AuctionEngine(rule)
         records = [eng.submit_bid(p) for p in prices]
@@ -248,6 +259,49 @@ def test_fold_oracle_engine_agree_on_ties(prices, cut):
         assert [part.submit_bid(p) for p in prices[cut:]] == records[cut:]
         assert part.total_income == eng.total_income
         assert part.remaining_bids() == eng.remaining_bids()
+
+
+_lognormal_prices = st.builds(
+    lambda seed, n: np.random.default_rng(seed).lognormal(0, 0.5, n).tolist(),
+    st.integers(0, 2**32 - 1), st.integers(0, 300))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(prices=st.one_of(st.lists(st.integers(1, 5).map(float), max_size=300),
+                        _lognormal_prices))
+def test_conservation_property(backend, prices):
+    # income plus the remaining pool is every bid
+    for rule in Rule:
+        res = run_sequence(rule, prices)
+        lhs = math.fsum([res.total_income, *res.remaining_prices.tolist()])
+        assert math.isclose(lhs, math.fsum(prices), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("rule", [Rule.CLASSIC, Rule.TWO_CONSECUTIVE])
+def test_kernel_matches_python_fold(rule, monkeypatch):
+    if not engine._kernel():
+        pytest.skip("the C fold kernel cannot be built here")
+    prices = sample(LogNormal(0, 0.3), SeedSpec(37, 0), 200_000)
+    fast = run_sequence(rule, prices)
+    monkeypatch.setattr(engine, "_KERNEL", False)
+    assert_same_run(fast, run_sequence(rule, prices))
+
+
+def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):
+    prices = sample(LogNormal(0, 0.3), SeedSpec(41, 0), 3000)
+    monkeypatch.setattr(engine, "_KERNEL", False)
+    expected = [run_sequence(rule, prices) for rule in Rule]
+    (tmp_path / "file").write_text("")
+    for env in ({"PATH": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "c")},
+                {"XDG_CACHE_HOME": str(tmp_path / "file")}):  # no cc; no cache dir
+        with monkeypatch.context() as m:
+            for k, v in env.items():
+                m.setenv(k, v)
+            m.setattr(engine, "_KERNEL", None)
+            for rule, want in zip(Rule, expected):
+                assert_same_run(run_sequence(rule, prices), want)
+            assert engine._KERNEL is False
 
 
 def test_worked_example_oracle():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from soc_auction import (E_INV, InsufficientDataError, LogNormal, ReplicaResult,
-                         Rule, SeedSpec, Uniform, estimate_af, estimate_b,
-                         estimate_pc, quantile, run_replicas, run_sequence,
-                         sample, ti_normality, uniform_stream)
+                         Rule, SeedSpec, Uniform, engine, estimate_af,
+                         estimate_b, estimate_pc, quantile, run_replicas,
+                         run_sequence, sample, ti_normality, uniform_stream)
 
 
 def test_run_replicas_deterministic_and_worker_invariant():
@@ -19,6 +19,19 @@ def test_run_replicas_deterministic_and_worker_invariant():
     assert serial == again == parallel
     assert [r.replica_id for r in serial] == list(range(8))
     assert all(r.seed == SeedSpec(5, r.replica_id) for r in serial)
+
+
+def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch):
+    if not engine._kernel():
+        pytest.skip("the C fold kernel cannot be built here")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(engine, "_KERNEL", None)
+    model = LogNormal(0, 0.3)
+    pooled = run_replicas(model, Rule.CLASSIC, 2000, 8, master_seed=5, workers=2)
+    assert engine._KERNEL is None  # the workers built it, not this process
+    [lib] = (tmp_path / "soc_auction").iterdir()  # one kernel, no temp file
+    assert lib.suffix == ".so"
+    assert pooled == run_replicas(model, Rule.CLASSIC, 2000, 8, master_seed=5)
 
 
 def test_replica_matches_direct_run():
