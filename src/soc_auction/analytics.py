@@ -65,29 +65,19 @@ def theory_summary(model: PriceModel, pc: float = E_INV,
         raise ValueError(f"b must be >= 0, got {b}")
     xc = critical_price(model, pc)
     accepted = 1.0 - pc
-
+    ti_per_bid = mean_y = var_y = af = None
     try:
         ti_per_bid = model.tail_mean(xc)
+        mean_y = ti_per_bid / accepted
+        var_y = model.tail_moment2(xc) / accepted - mean_y ** 2
+        af = accepted * var_y + b * mean_y ** 2
     except InfiniteMomentError:
-        return TheorySummary(pc=pc, xc=xc, expected_sales_fraction=accepted,
-                             b_constant=b, expected_ti_per_bid=None,
-                             mean_Y=None, var_Y=None, af_approx=None,
-                             infinite_mean=True, infinite_variance=True)
-
-    mean_y = ti_per_bid / accepted
-    try:
-        ey2 = model.tail_moment2(xc) / accepted
-    except InfiniteMomentError:
-        return TheorySummary(pc=pc, xc=xc, expected_sales_fraction=accepted,
-                             b_constant=b, expected_ti_per_bid=ti_per_bid,
-                             mean_Y=mean_y, var_Y=None, af_approx=None,
-                             infinite_variance=True)
-
-    var_y = ey2 - mean_y ** 2
-    af = accepted * var_y + b * mean_y ** 2
+        pass  # the first moment that diverged leaves itself and the rest None
     return TheorySummary(pc=pc, xc=xc, expected_sales_fraction=accepted,
                          b_constant=b, expected_ti_per_bid=ti_per_bid,
-                         mean_Y=mean_y, var_Y=var_y, af_approx=af)
+                         mean_Y=mean_y, var_Y=var_y, af_approx=af,
+                         infinite_mean=ti_per_bid is None,
+                         infinite_variance=var_y is None)
 
 
 def empirical_critical_price(prices, pc: float = E_INV) -> float:

@@ -11,6 +11,7 @@ losslessly; integers bare; an empty cell where no sale fired.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -59,12 +60,27 @@ def _cells(col: np.ndarray) -> list[str]:
     return cells
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, **open_kw):
+    """Write to a temp name beside `path` and rename it onto `path` once the
+    body succeeds; on any exception remove it, so a failed write leaves no
+    file that looks complete."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", **open_kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Equal-length columns under their names, in dict order. The one format
     rule: reals at 17 significant digits (a lossless double round trip),
     integers bare, masked entries as empty cells."""
     cols = list(columns.values())
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for lo in range(0, len(cols[0]), CSV_BLOCK_ROWS):
             cells = [_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in cols]
@@ -72,7 +88,7 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

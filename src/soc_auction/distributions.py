@@ -1,4 +1,4 @@
-"""Price-law models: seeded sampling, cdf/quantile, truncated moments.
+"""Price-law models: seeded sampling, survival/cdf/quantile, truncated moments.
 
 All sampling is inverse-transform from a reproducible uniform stream, so two
 models driven by the same SeedSpec see the same underlying uniforms. That is
@@ -63,27 +63,40 @@ def uniform_stream(seed: SeedSpec, n: int) -> np.ndarray:
 # =====================================================================
 
 class PriceModel:
-    """A bid-price law on the positive reals.
+    """A bid-price law on the positive reals, written on the survival side.
 
-    Subclasses are frozen dataclasses that provide a closed-form cdf and
-    quantile and the two truncated moments used by the income theory:
+    Subclasses are frozen dataclasses that provide, elementwise and without
+    domain checks,
+
+        _sf(x)   survival P(X > x), 1 below the support
+        _isf(q)  its inverse: the price whose survival is q, for q in (0, 1]
+
+    and the two truncated moments used by the income theory:
 
         tail_mean(c)    = integral of x f(x) over [c, inf)
         tail_moment2(c) = integral of x^2 f(x) over [c, inf)
+
+    The public cdf is 1 - _sf. Quantiles and draws come from
+    _ppf(u) = _isf(1 - u), unless a family keeps a closed form of its own.
+    Survival terms keep full relative precision in the upper tail, where a
+    base price truncates; the cdf is exact to absolute rounding only.
 
     A family's spec is its lower-case class name and its fields in order,
     e.g. ``lognormal:mu=0,sigma=0.3``; `parse_model` reads it back.
     """
 
-    def support(self) -> tuple[float, float]:
+    def _sf(self, x):
         raise NotImplementedError
 
-    def cdf(self, x):
+    def _isf(self, q):
         raise NotImplementedError
 
     def _ppf(self, u):
         """Quantile on arrays of valid probabilities; no domain checks."""
-        raise NotImplementedError
+        return self._isf(1.0 - np.asarray(u, dtype=float))
+
+    def cdf(self, x):
+        return _scalarize(x, 1.0 - self._sf(np.asarray(x, dtype=float)))
 
     def mean(self) -> float:
         return self.tail_mean(0.0)
@@ -95,7 +108,8 @@ class PriceModel:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        body = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        body = ",".join(f"{f.name}={_spec_number(getattr(self, f.name))}"
+                        for f in fields(self))
         return f"{type(self).__name__.lower()}:{body}"
 
 
@@ -103,6 +117,12 @@ def _scalarize(x, val):
     if np.ndim(x) == 0:
         return float(val)
     return val
+
+
+def _spec_number(v: float) -> str:
+    """Short ``:g`` form when it reads back exactly, else the full repr."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -113,13 +133,11 @@ class Exponential(PriceModel):
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
-    def support(self):
-        return 0.0, math.inf
+    def _sf(self, x):
+        return np.exp(-self.rate * np.maximum(x, 0.0))
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa < 0, 0.0, -np.expm1(-self.rate * np.maximum(xa, 0)))
-        return _scalarize(x, out)
+    def _isf(self, q):
+        return -np.log(q) / self.rate
 
     def _ppf(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -143,14 +161,12 @@ class LogNormal(PriceModel):
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
-    def support(self):
-        return 0.0, math.inf
+    def _sf(self, x):
+        with np.errstate(divide="ignore"):  # log(0) = -inf: survival 1
+            return ndtr((self.mu - np.log(np.maximum(x, 0.0))) / self.sigma)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        safe = np.where(xa > 0, xa, 1.0)
-        out = np.where(xa > 0, ndtr((np.log(safe) - self.mu) / self.sigma), 0.0)
-        return _scalarize(x, out)
+    def _isf(self, q):
+        return np.exp(self.mu - self.sigma * ndtri(q))
 
     def _ppf(self, u):
         return np.exp(self.mu + self.sigma * ndtri(np.asarray(u, dtype=float)))
@@ -179,13 +195,11 @@ class Uniform(PriceModel):
         if not self.hi > self.lo:
             raise ValueError(f"hi must be > lo, got hi={self.hi}, lo={self.lo}")
 
-    def support(self):
-        return self.lo, self.hi
+    def _sf(self, x):
+        return np.clip((self.hi - x) / (self.hi - self.lo), 0.0, 1.0)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.clip((xa - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return _scalarize(x, out)
+    def _isf(self, q):
+        return self.hi - (self.hi - self.lo) * q
 
     def _ppf(self, u):
         return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=float)
@@ -217,20 +231,11 @@ class Pareto(PriceModel):
         if not self.alpha > 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
 
-    def support(self):
-        return self.xmin, math.inf
+    def _sf(self, x):
+        return (self.xmin / np.maximum(x, self.xmin)) ** (self.alpha - 1.0)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        safe = np.maximum(xa, self.xmin)
-        out = np.where(xa >= self.xmin,
-                       1.0 - (self.xmin / safe) ** (self.alpha - 1.0),
-                       0.0)
-        return _scalarize(x, out)
-
-    def _ppf(self, u):
-        ua = np.asarray(u, dtype=float)
-        return self.xmin * (1.0 - ua) ** (-1.0 / (self.alpha - 1.0))
+    def _isf(self, q):
+        return self.xmin * q ** (-1.0 / (self.alpha - 1.0))
 
     def tail_mean(self, c):
         if self.alpha <= 2:
@@ -254,7 +259,8 @@ class Truncated(PriceModel):
     """Lower truncation of another law at a base price.
 
     Models a posted base price: bids below it cannot be offered, so the
-    inner law is renormalized on [base_price, inf).
+    inner law is renormalized on [base_price, inf) by its survival mass
+    there. Working on the survival side keeps far-tail bases exact.
     """
 
     base_price: float
@@ -263,40 +269,29 @@ class Truncated(PriceModel):
     def __post_init__(self):
         if not self.base_price > 0:
             raise ValueError(f"base_price must be > 0, got {self.base_price}")
-        mass = 1.0 - self.inner.cdf(self.base_price)
-        if not mass > 0:
+        if not self._mass() > 0:
             raise ValueError(
                 f"base_price={self.base_price} leaves no probability mass above it")
 
-    def _f0(self) -> float:
-        return float(self.inner.cdf(self.base_price))
+    def _mass(self) -> float:
+        return float(self.inner._sf(self.base_price))
 
-    def support(self):
-        lo, hi = self.inner.support()
-        return max(lo, self.base_price), hi
+    def _sf(self, x):
+        return self.inner._sf(np.maximum(x, self.base_price)) / self._mass()
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        f0 = self._f0()
-        out = np.where(xa >= self.base_price,
-                       (np.asarray(self.inner.cdf(xa)) - f0) / (1.0 - f0),
-                       0.0)
-        return _scalarize(x, out)
-
-    def _ppf(self, u):
-        f0 = self._f0()
-        return self.inner._ppf(f0 + (1.0 - f0) * np.asarray(u, dtype=float))
+    def _isf(self, q):
+        # the clamp absorbs the inner inverse landing an ulp below the base
+        return np.maximum(self.inner._isf(q * self._mass()), self.base_price)
 
     def tail_mean(self, c):
-        c = max(c, self.base_price)
-        return self.inner.tail_mean(c) / (1.0 - self._f0())
+        return self.inner.tail_mean(max(c, self.base_price)) / self._mass()
 
     def tail_moment2(self, c):
-        c = max(c, self.base_price)
-        return self.inner.tail_moment2(c) / (1.0 - self._f0())
+        return self.inner.tail_moment2(max(c, self.base_price)) / self._mass()
 
     def spec_string(self):
-        return f"truncated:base={self.base_price:g},inner={self.inner.spec_string()}"
+        return (f"truncated:base={_spec_number(self.base_price)},"
+                f"inner={self.inner.spec_string()}")
 
 
 # =====================================================================
@@ -342,8 +337,6 @@ def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
     cross-check of the closed forms, and as the fallback for models
     without one.
     """
-    lo_supp, _ = model.support()
-    c = max(c, lo_supp)
     u0 = float(model.cdf(c))
     if u0 >= 1.0:
         return 0.0

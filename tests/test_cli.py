@@ -193,6 +193,19 @@ def test_unwritable_output_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def disk_full(col):
+        raise OSError("No space left on device")
+
+    # the header is written before the first row block fails
+    monkeypatch.setattr("soc_auction.cli._cells", disk_full)
+    rc = main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "10",
+               "--out", str(tmp_path), "--format", "csv"])
+    assert rc == 3
+    assert "No space left" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_model_and_prices_is_config_error(tmp_path, capsys):
     rc = main(["simulate", "--n", "10", "--out", str(tmp_path)])
     assert rc == 2

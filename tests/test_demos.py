@@ -1,10 +1,7 @@
 """Smoke test: the narrative demos run to completion against the package.
 
 Each demo runs as its own process, so a public name removed from the package
-fails here instead of only when someone next runs the demo. Demo 04 (the
-replica estimates of p_c, b and a_f) is left out: it takes about 26 s, and
-the same estimators are covered by tests/test_montecarlo.py and acceptance
-criteria 5, 6 and 11.
+fails here instead of only when someone next runs the demo.
 """
 
 import os
@@ -16,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_selling_rule_walkthrough.py", "02_critical_price_and_income.py",
-         "03_avalanche_statistics.py", "05_base_price_and_baseline.py")
+         "03_avalanche_statistics.py", "04_variance_constants.py",
+         "05_base_price_and_baseline.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

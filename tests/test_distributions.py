@@ -26,6 +26,8 @@ ALL_MODELS = [
     Truncated(1.0, Exponential(1.0)),
     Truncated(1.0, LogNormal(0.0, 0.3)),
     Truncated(2.0, Truncated(1.0, Exponential(0.7))),
+    LogNormal(0.123456789, 0.3),
+    Truncated(1.23456789, Exponential(1.0)),
 ]
 
 
@@ -101,6 +103,19 @@ def test_truncated_critical_price_at_least_base():
     assert critical_price(t, E_INV) >= base
 
 
+@pytest.mark.parametrize("inner", [m for m in ALL_MODELS if not isinstance(m, Truncated)],
+                         ids=lambda m: m.spec_string())
+def test_truncated_small_quantiles_at_least_base(inner):
+    # bases from the body of the inner law out to far in its upper tail
+    levels = np.concatenate([np.linspace(0.001, 0.999, 400),
+                             1.0 - np.geomspace(1e-3, 1e-13, 200)])
+    bases = np.unique(quantile(inner, levels))
+    bases = bases[bases > 0]
+    lows = np.array([quantile(Truncated(float(b), inner), [0.0, 1e-12, 1e-6])
+                     for b in bases])
+    assert (lows >= bases[:, None]).all()
+
+
 # =====================================================================
 # truncated moments
 # =====================================================================
@@ -136,8 +151,7 @@ def test_tail_mean_at_zero_is_mean(model):
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
 def test_tail_mean_non_increasing(model):
-    lo, _ = model.support()
-    cs = np.linspace(lo, quantile(model, 0.99), 25)
+    cs = np.linspace(quantile(model, 0.0), quantile(model, 0.99), 25)
     vals = [model.tail_mean(float(c)) for c in cs]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -205,9 +219,27 @@ def test_uniform_stream_matches_sample_transform():
 def test_sample_support_and_positivity():
     xs = sample(Uniform(0, 1), SeedSpec(1, 0), 3)
     assert ((xs > 0) & (xs < 1)).all()
-    xs = sample(Truncated(1.0, Exponential(1.0)), SeedSpec(1, 0), 10_000)
-    assert (xs >= 1.0).all()
     assert len(sample(Uniform(0, 1), SeedSpec(1, 0), 0)) == 0
+
+
+@pytest.mark.parametrize("base, inner", [(1.0, Exponential(1.0)),
+                                         (8.0, LogNormal(0.0, 0.3)),
+                                         (9.0, LogNormal(0.0, 0.3)),
+                                         (40.0, Exponential(1.0))],
+                         ids=["exp-base1", "lognormal-base8", "lognormal-base9",
+                              "exp-base40"])
+def test_truncated_draws_finite_at_least_base_and_distinct(base, inner):
+    # bases far in the inner law's upper tail, where almost no mass is left
+    xs = sample(Truncated(base, inner), SeedSpec(1, 0), 100_000)
+    assert np.isfinite(xs).all()
+    assert (xs >= base).all()
+    assert len(np.unique(xs)) == len(xs)
+
+
+def test_truncated_exponential_far_tail_is_memoryless():
+    t = Truncated(40.0, Exponential(1.0))
+    assert t.tail_mean(0.0) == pytest.approx(41.0, rel=1e-12)
+    assert t.tail_moment2(0.0) == pytest.approx(40.0 ** 2 + 2 * 40.0 + 2, rel=1e-12)
 
 
 def test_lognormal_sample_mean_against_closed_form():
