@@ -124,10 +124,6 @@ class DistributionChecks:
     frac_sales_at_or_below_xc: float
     xc_used: float
 
-    def passes(self, alpha: float = 0.01) -> bool:
-        return (self.ks_sales_above < ks_critical_value(self.n_sales_above, alpha)
-                and self.ks_remaining_below < ks_critical_value(self.n_remaining_below, alpha))
-
 
 def empirical_distribution_checks(sales, remaining, model: PriceModel,
                                   xc: float) -> DistributionChecks:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, montecarlo
-from .distributions import (E_INV, PriceModel, SeedSpec, Truncated,
-                            critical_price, parse_model, sample)
+from .distributions import (E_INV, PriceModel, SeedSpec, critical_price,
+                            parse_model, sample)
 from .engine import Rule, RunResult, run_sequence
 from .errors import InsufficientDataError, ModelSpecError
 
@@ -31,8 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
-
-SEED_ENV_VAR = "SOC_AUCTION_SEED"
 
 # Canonical replicate configurations (model, size, replicas, master seed).
 FIG_MODEL = "lognormal:mu=0,sigma=0.3"
@@ -87,33 +85,14 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _json_text(obj: dict) -> str:
+    """The one JSON text rule, for files and for stdout alike."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: Path, obj: dict) -> None:
     with _replacing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _parse_seed(ns) -> int:
-    if ns.seed is not None:
-        return ns.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ModelSpecError(
-                f"environment variable {SEED_ENV_VAR} must be an integer, "
-                f"got '{env}'") from None
-    return 0
-
-
-def _resolve_model(ns) -> PriceModel | None:
-    if ns.model is None:
-        return None
-    model = parse_model(ns.model)
-    if ns.base_price is not None:
-        model = Truncated(base_price=ns.base_price, inner=model)
-    return model
+        fh.write(_json_text(obj))
 
 
 def _load_prices_file(path: str) -> np.ndarray:
@@ -136,17 +115,19 @@ def _load_prices_file(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _get_run(ns, seed: int) -> tuple[RunResult, PriceModel | None, np.ndarray]:
-    """Prices from --prices-file (overrides model) or sampled from --model."""
-    model = _resolve_model(ns)
-    if ns.prices_file is not None:
-        prices = _load_prices_file(ns.prices_file)
+def _run(model: PriceModel | None, rule: Rule | str, n: int, seed: int,
+         prices_file: str | None = None,
+         trajectory: bool = False) -> tuple[RunResult, np.ndarray]:
+    """The one fold behind every single-run command: of the prices in
+    `prices_file` when one is given, else of `n` draws of `model` from
+    stream 0 of the master `seed`. `ntilde` is built only with `trajectory`."""
+    if prices_file is not None:
+        prices = _load_prices_file(prices_file)
     elif model is not None:
-        prices = sample(model, SeedSpec(seed, 0), ns.n)
+        prices = sample(model, SeedSpec(seed, 0), n)
     else:
         raise ModelSpecError("either --model or --prices-file is required")
-    result = run_sequence(ns.rule, prices)
-    return result, model, prices
+    return run_sequence(rule, prices, collect_trajectory=trajectory), prices
 
 
 def _xc_for(model: PriceModel | None, prices: np.ndarray, pc: float) -> float:
@@ -178,9 +159,10 @@ def _out_dir(ns) -> Path:
 # =====================================================================
 
 def cmd_simulate(ns) -> int:
-    seed = _parse_seed(ns)
     fmts = _formats(ns)
-    result, model, prices = _get_run(ns, seed)
+    model = None if ns.model is None else parse_model(ns.model)
+    result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file,
+                          trajectory=True)
     xc = _xc_for(model, prices, ns.pc)
     out = _out_dir(ns)
 
@@ -205,22 +187,20 @@ def cmd_simulate(ns) -> int:
             "pc": ns.pc,
             "rule": Rule(ns.rule).value,
             "model": model.spec_string() if model is not None else None,
-            "master_seed": None if ns.prices_file is not None else seed,
+            "master_seed": None if ns.prices_file is not None else ns.seed,
         })
     return EXIT_OK
 
 
 def cmd_theory(ns) -> int:
-    model = _resolve_model(ns)
-    if model is None:
+    if ns.model is None:
         raise ModelSpecError("--model is required")
+    model = parse_model(ns.model)
     summary = analytics.theory_summary(model, pc=ns.pc, b=ns.b)
     payload = {"model": model.spec_string(), **dataclasses.asdict(summary)}
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if ns.out is not None:
-        out = _out_dir(ns)
-        _write_json(out / "theory.json", payload)
-    print(text)
+        _write_json(_out_dir(ns) / "theory.json", payload)
+    print(_json_text(payload), end="")
     return EXIT_OK
 
 
@@ -239,13 +219,13 @@ def _avalanche_fit(sale_prices: np.ndarray, xc: float, k_min: int, k_max: int,
 
 
 def cmd_avalanches(ns) -> int:
-    seed = _parse_seed(ns)
     fmts = _formats(ns)
-    result, model, prices = _get_run(ns, seed)
+    model = None if ns.model is None else parse_model(ns.model)
+    result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file)
     xc = _xc_for(model, prices, ns.pc)
     # fit before writing, so a failed fit leaves no output behind
     avalanches, survival, fit = _avalanche_fit(result.sale_prices, xc,
-                                               ns.kmin, ns.kmax, seed)
+                                               ns.kmin, ns.kmax, ns.seed)
     out = _out_dir(ns)
     if "csv" in fmts:
         _write_csv(out / "durations.csv", {"duration": avalanches.durations})
@@ -276,8 +256,7 @@ def _figure_setup() -> tuple[PriceModel, analytics.TheorySummary]:
 
 def cmd_fig1a(ns) -> int:
     model, theory = _figure_setup()
-    prices = sample(model, SeedSpec(ns.seed, 0), FIG1A_N)
-    result = run_sequence(Rule.CLASSIC, prices)
+    result, prices = _run(model, Rule.CLASSIC, FIG1A_N, ns.seed)
     accepted = np.zeros(FIG1A_N, dtype=np.int64)
     accepted[result.accepted_indices - 1] = 1
     out = _out_dir(ns)
@@ -322,8 +301,7 @@ def cmd_fig1b(ns) -> int:
 
 def cmd_fig2(ns) -> int:
     model, theory = _figure_setup()
-    prices = sample(model, SeedSpec(ns.seed, 0), FIG2_N)
-    result = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
+    result, _ = _run(model, Rule.CLASSIC, FIG2_N, ns.seed)
     avalanches, survival, fit = _avalanche_fit(result.sale_prices, theory.xc,
                                                FIG2_KMIN, FIG2_KMAX, ns.seed)
     ks, ps = survival
@@ -347,9 +325,8 @@ def cmd_fig2(ns) -> int:
 # =====================================================================
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="price model spec, e.g. lognormal:mu=0,sigma=0.3")
-    p.add_argument("--base-price", type=float, default=None,
-                   help="truncate the model below this base price")
+    p.add_argument("--model", help="price model spec, e.g. lognormal:mu=0,sigma=0.3 "
+                   "or truncated:base=1.2,inner=<spec> for a posted base price")
     p.add_argument("--pc", type=float, default=E_INV,
                    help="never-accepted fraction for the critical price (default 1/e)")
 
@@ -372,8 +349,7 @@ def _add_run_flags(p: argparse.ArgumentParser, n: int) -> None:
                    help=f"number of bids, e.g. 1000 or 1e5 (default {n})")
     p.add_argument("--prices-file", default=None,
                    help="one price per line; overrides --model")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (fallback: ${SEED_ENV_VAR}, then 0)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", default="csv,json",
                    help="comma list from {csv,json} (default both)")

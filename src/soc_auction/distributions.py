@@ -98,9 +98,6 @@ class PriceModel:
     def cdf(self, x):
         return _scalarize(x, 1.0 - self._sf(np.asarray(x, dtype=float)))
 
-    def mean(self) -> float:
-        return self.tail_mean(0.0)
-
     def tail_mean(self, c: float) -> float:
         raise NotImplementedError
 
@@ -269,9 +266,15 @@ class Truncated(PriceModel):
     def __post_init__(self):
         if not self.base_price > 0:
             raise ValueError(f"base_price must be > 0, got {self.base_price}")
-        if not self._mass() > 0:
+        # _isf hands the innermost law q times every enclosing mass; at the
+        # smallest q a draw can have, that product must stay a normal double
+        q, law = _U_FLOOR, self
+        while isinstance(law, Truncated):
+            q, law = q * law._mass(), law.inner
+        if not q >= np.finfo(float).tiny:
             raise ValueError(
-                f"base_price={self.base_price} leaves no probability mass above it")
+                f"base_price={self.base_price} leaves too little probability "
+                "mass above it for double-precision draws")
 
     def _mass(self) -> float:
         return float(self.inner._sf(self.base_price))

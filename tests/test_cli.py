@@ -4,8 +4,11 @@ import argparse
 import csv
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,30 +152,36 @@ def test_simulate_format_subsets(tmp_path):
 
 
 def test_simulate_base_price_truncates(tmp_path):
-    rc = main(["simulate", "--model", "exponential:rate=1.0", "--base-price",
-               "2.0", "--n", "400", "--seed", "3", "--out", str(tmp_path)])
+    rc = main(["simulate", "--model", "truncated:base=2.0,inner=exponential:rate=1.0",
+               "--n", "400", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0
     rows = read_csv(tmp_path / "events.csv")
     assert min(float(r["price"]) for r in rows) >= 2.0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["model"] == "truncated:base=2,inner=exponential:rate=1"
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["simulate", "avalanches", "theory"])
+def test_base_price_flag_is_a_usage_error(tmp_path, capsys, command):
+    # a base price is spelled only as a truncated: model spec
+    out = tmp_path / "out"
+    rc = exit_code([command, "--model", "exponential:rate=1.0",
+                    "--base-price", "2.0", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--base-price" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_seed_defaults_to_zero_and_ignores_the_environment(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("SOC_AUCTION_SEED", "99")
     assert main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "100",
                  "--out", str(a)]) == 0
-    monkeypatch.delenv("SOC_AUCTION_SEED")
     assert main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "100",
-                 "--seed", "99", "--out", str(b)]) == 0
-    assert (a / "events.csv").read_bytes() == (b / "events.csv").read_bytes()
-
-
-def test_bad_env_seed_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SOC_AUCTION_SEED", "not-a-number")
-    rc = main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "10",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "SOC_AUCTION_SEED" in capsys.readouterr().err
+                 "--seed", "0", "--out", str(b)]) == 0
+    for name in ("events.csv", "summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_invalid_model_spec_exit_2_names_field(tmp_path, capsys):
@@ -183,6 +192,15 @@ def test_invalid_model_spec_exit_2_names_field(tmp_path, capsys):
     rc = main(["theory", "--model", "exponential:rate=oops"])
     assert rc == 2
     assert "rate" in capsys.readouterr().err
+
+
+def test_base_too_far_in_the_tail_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--model", "truncated:base=708,inner=exponential:rate=1",
+               "--n", "10", "--out", str(out)])
+    assert rc == 2
+    assert "mass" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_exit_3(tmp_path, capsys):
@@ -249,6 +267,13 @@ def test_theory_uniform_xc(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["xc"] == pytest.approx(math.exp(-1), rel=1e-12)
+
+
+def test_theory_out_writes_the_bytes_it_prints(tmp_path, capsys):
+    rc = main(["theory", "--model", "lognormal:mu=0,sigma=0.3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "theory.json").read_text() == capsys.readouterr().out
 
 
 def test_theory_infinite_mean_flags(tmp_path, capsys):
@@ -433,7 +458,7 @@ def _dests(parser):
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
     commands = _subcommands(build_parser())
-    model = {"model", "base_price", "pc"}
+    model = {"model", "pc"}
     run = model | {"rule", "n", "prices_file", "seed", "out", "format"}
     assert _dests(commands["simulate"]) == run
     assert _dests(commands["avalanches"]) == run | {"kmin", "kmax"}
@@ -444,5 +469,27 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert _dests(figures["fig1b"]) == {"seed", "out", "replicas", "threads"}
     # the shared flags keep each command's own defaults
     assert commands["simulate"].parse_args([]).n == 1000
+    assert commands["simulate"].parse_args([]).seed == 0
     assert commands["avalanches"].parse_args([]).n == 2_000_000
     assert commands["theory"].parse_args([]).out is None
+
+
+def _readme_commands():
+    """Every `soc-auction ...` command in the README's bash blocks, with
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["soc-auction"]:
+                yield argv[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(_readme_commands())
+    assert len(commands) >= 8
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: soc-auction {shlex.join(argv)}")

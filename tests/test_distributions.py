@@ -146,7 +146,8 @@ def test_uniform_tail_moments_elementary():
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
 def test_tail_mean_at_zero_is_mean(model):
-    assert model.tail_mean(0.0) == pytest.approx(model.mean(), rel=1e-12)
+    assert model.tail_mean(0.0) == pytest.approx(
+        tail_moment_quad(model, 0.0, 1), rel=1e-9)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
@@ -193,7 +194,7 @@ def test_pareto_density_exponent_convention():
     m = Pareto(1.0, 2.5)
     x = 10.0
     assert 1.0 - m.cdf(x) == pytest.approx(x ** -1.5, rel=1e-12)
-    assert m.mean() == pytest.approx(1.5 / 0.5, rel=1e-12)
+    assert m.tail_mean(0.0) == pytest.approx(1.5 / 0.5, rel=1e-12)
 
 
 # =====================================================================
@@ -234,6 +235,24 @@ def test_truncated_draws_finite_at_least_base_and_distinct(base, inner):
     assert np.isfinite(xs).all()
     assert (xs >= base).all()
     assert len(np.unique(xs)) == len(xs)
+
+
+@pytest.mark.parametrize("base, inner", [
+    (708.0, Exponential(1.0)),  # mass normal, mass * 2^-53 not
+    (740.0, Exponential(1.0)),  # mass itself subnormal
+    (700.0, Truncated(650.0, Exponential(1.0))),  # outer mass alone is fine
+], ids=["exp-base708", "exp-base740", "nested-exp-base700"])
+def test_truncation_mass_too_small_for_the_sampler_is_rejected(base, inner):
+    # the sampler's smallest survival level 2^-53, scaled by every enclosing
+    # mass, must stay a normal double, or the far quantiles lose their digits
+    with pytest.raises(ValueError, match="mass"):
+        Truncated(base, inner)
+
+
+def test_truncation_far_in_the_tail_keeps_exact_quantiles():
+    t = Truncated(660.0, Exponential(1.0))
+    assert float(quantile(t, 1 - 2.0 ** -53)) == pytest.approx(
+        660.0 + 53 * math.log(2.0), rel=0, abs=1e-12)
 
 
 def test_truncated_exponential_far_tail_is_memoryless():
