@@ -209,9 +209,21 @@ def segment_avalanches(sales, xc: float) -> AvalancheSet:
                         left, right, xc, n)
 
 
+_LOG_GRID_POINTS = 60
+
+
+def _log_grid(k_min, k_max, n_points: int) -> np.ndarray:
+    """Log-spaced integers in [k_min, k_max], deduplicated."""
+    if not 1 <= k_min < k_max:
+        raise ValueError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
+    return np.unique(np.round(np.logspace(math.log10(k_min), math.log10(k_max),
+                                          n_points)).astype(np.int64))
+
+
 def survival_function(durations, *, grid: str = "all", k_min: int = 1,
                       k_max: Optional[int] = None,
-                      n_points: int = 60) -> tuple[np.ndarray, np.ndarray]:
+                      n_points: int = _LOG_GRID_POINTS,
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical survival P(tau > k).
 
     grid="all": every integer k from 0 to max(durations).
@@ -225,12 +237,7 @@ def survival_function(durations, *, grid: str = "all", k_min: int = 1,
     if grid == "all":
         ks = np.arange(0, d[-1] + 1, dtype=np.int64)
     elif grid == "log":
-        if k_max is None:
-            k_max = int(d[-1])
-        if not 1 <= k_min < k_max:
-            raise ValueError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
-        ks = np.unique(np.round(np.logspace(math.log10(k_min), math.log10(k_max),
-                                            n_points)).astype(np.int64))
+        ks = _log_grid(k_min, int(d[-1]) if k_max is None else k_max, n_points)
     else:
         raise ValueError(f"grid must be 'all' or 'log', got {grid!r}")
     p = 1.0 - np.searchsorted(d, ks, side="right") / n
@@ -260,6 +267,63 @@ def _median_pairwise_slope(logk: np.ndarray, logp: np.ndarray) -> float:
     return float(np.median((logp[j] - logp[i])[good] / dx[good]))
 
 
+def _row_median_slopes(logk: np.ndarray, logp: np.ndarray,
+                       valid: np.ndarray) -> np.ndarray:
+    """`_median_pairwise_slope` of each row of `logp` over its `valid`
+    points, with the same float operations; `logk` is strictly increasing."""
+    i, j = np.triu_indices(len(logk), 1)
+    slopes = logp[:, j]
+    slopes -= logp[:, i]
+    slopes /= logk[j] - logk[i]
+    # a pair touching an invalid point is NaN, which sorts after every slope
+    slopes[~(valid[:, i] & valid[:, j])] = np.nan
+    slopes.sort(axis=1)
+    # the median as np.median takes it: the middle value, or the mean of
+    # the two middle values
+    m = np.count_nonzero(valid, axis=1)
+    pairs = m * (m - 1) // 2
+    rows = np.arange(len(pairs))
+    hi = slopes[rows, pairs // 2]
+    lo = slopes[rows, (pairs - 1) // 2]
+    return np.where(pairs % 2 == 1, hi, (lo + hi) / 2)
+
+
+def _bootstrap_slopes(d: np.ndarray, k_min, k_max, n_bootstrap: int,
+                      seed: int) -> np.ndarray:
+    """`_median_pairwise_slope` of the log-grid survival of each resample of
+    `d`, in draw order, leaving out resamples with < 3 positive points.
+
+    Each resample is drawn from SeedSpec(seed) and cut down at once to its
+    survival counts on the grid, so memory stays O(len(d)). The slopes and
+    medians are then taken 64 resamples at a time, which bounds their
+    (resamples, pairs) matrix to about 1 MB, with the same float operations
+    as `survival_function` and `_median_pairwise_slope`.
+    """
+    try:
+        ks = _log_grid(k_min, k_max, _LOG_GRID_POINTS)
+    except ValueError:
+        return np.empty(0)  # no grid, so no resample has a survival to fit
+    n = len(d)
+    if n == 0:
+        return np.empty(0)
+    rng = SeedSpec(seed).generator()
+    counts = np.stack([
+        np.searchsorted(np.sort(rng.choice(d, size=n, replace=True)), ks,
+                        side="right")
+        for _ in range(n_bootstrap)])
+    p = 1.0 - counts / n
+    valid = (p > 0) & (ks >= k_min) & (ks <= k_max)
+    keep = np.count_nonzero(valid, axis=1) >= 3
+    valid = valid[keep]
+    logp = np.log(np.where(valid, p[keep], 1.0))
+    logk = np.log(ks)
+    boots = np.empty(len(valid))
+    for start in range(0, len(valid), 64):
+        rows = slice(start, start + 64)
+        boots[rows] = _row_median_slopes(logk, logp[rows], valid[rows])
+    return boots
+
+
 def fit_power_tail(survival: tuple[np.ndarray, np.ndarray], k_min: int,
                    k_max: int, *, durations=None, n_bootstrap: int = 250,
                    seed: int = 0) -> TailFit:
@@ -282,19 +346,8 @@ def fit_power_tail(survival: tuple[np.ndarray, np.ndarray], k_min: int,
 
     stderr = math.nan
     if durations is not None and n_bootstrap > 0:
-        d = np.asarray(durations, dtype=np.int64)
-        rng = SeedSpec(seed).generator()
-        boots = []
-        for _ in range(n_bootstrap):
-            resample = rng.choice(d, size=len(d), replace=True)
-            try:
-                kb, pb = survival_function(resample, grid="log",
-                                           k_min=k_min, k_max=k_max)
-                m = (kb >= k_min) & (kb <= k_max)
-                if m.sum() >= 3:
-                    boots.append(_median_pairwise_slope(np.log(kb[m]), np.log(pb[m])))
-            except (ValueError, InsufficientDataError):
-                continue
+        boots = _bootstrap_slopes(np.asarray(durations, dtype=np.int64),
+                                  k_min, k_max, n_bootstrap, seed)
         if len(boots) >= 2:
             stderr = float(np.std(boots, ddof=1))
 

@@ -92,16 +92,29 @@ def _check_uniform_n(results: list[ReplicaResult]) -> int:
     return ns.pop()
 
 
+_BOOT_BLOCK = 64
+
+
 def _bootstrap_ci(stat, samples: dict, level: float, n_bootstrap: int,
                   seed: int) -> EstimateWithCI:
     """`stat(samples)` with a percentile CI over resamples of every array,
-    each drawn with replacement in dict order from SeedSpec(seed)."""
-    point = stat(samples)
+    each drawn with replacement in dict order from SeedSpec(seed).
+
+    `stat` reduces the last axis, so it takes a block of resamples at once:
+    the resamples of each array are the rows of one matrix. A block holds
+    _BOOT_BLOCK resamples, which bounds the memory the matrices take.
+    """
+    point = float(stat(samples))
     rng = SeedSpec(seed).generator()
-    boots = np.empty(n_bootstrap)
-    for i in range(n_bootstrap):
-        boots[i] = stat({k: rng.choice(v, size=len(v), replace=True)
-                         for k, v in samples.items()})
+    boots = []
+    for start in range(0, n_bootstrap, _BOOT_BLOCK):
+        block = min(_BOOT_BLOCK, n_bootstrap - start)
+        rows = {k: np.empty((block, len(v)), v.dtype) for k, v in samples.items()}
+        for b in range(block):
+            for k, v in samples.items():
+                rows[k][b] = rng.choice(v, size=len(v), replace=True)
+        boots.append(stat(rows))
+    boots = np.concatenate(boots)
     lo, hi = np.quantile(boots, [(1 - level) / 2, (1 + level) / 2])
     return EstimateWithCI(point, min(float(lo), point), max(float(hi), point),
                           sum(map(len, samples.values())), level)
@@ -145,14 +158,16 @@ def estimate_b(results_by_n: dict[int, list[ReplicaResult]],
     counts = {n: np.array([r.n_sales for r in res], dtype=float)
               for n, res in results_by_n.items()}
 
-    def slope_of(samples: dict[int, np.ndarray]) -> float:
+    def slope_of(samples: dict[int, np.ndarray]) -> np.ndarray:
         ns = np.array(sorted(samples), dtype=float)
-        v = np.array([samples[int(n)].var(ddof=1) for n in ns])
-        r = np.array([len(samples[int(n)]) for n in ns], dtype=float)
-        if not v.any():
-            return 0.0  # degenerate counts (e.g. accept-all): flat at zero
-        w = (r - 1.0) / (2.0 * np.maximum(v, v[v > 0].min() * 1e-12) ** 2)
-        return float((w * ns * v).sum() / (w * ns * ns).sum())
+        v = np.stack([samples[int(n)].var(axis=-1, ddof=1) for n in ns], axis=-1)
+        r = np.array([samples[int(n)].shape[-1] for n in ns], dtype=float)
+        # degenerate counts (e.g. accept-all) have no positive variance to
+        # floor at; any finite floor leaves their slope flat at zero
+        pos = np.where(v > 0, v, np.inf).min(axis=-1, keepdims=True)
+        floor = np.where(pos < np.inf, pos * 1e-12, 1.0)
+        w = (r - 1.0) / (2.0 * np.maximum(v, floor) ** 2)
+        return (w * ns * v).sum(axis=-1) / (w * ns * ns).sum(axis=-1)
 
     return _bootstrap_ci(slope_of, counts, level, n_bootstrap, seed)
 
@@ -164,7 +179,7 @@ def estimate_af(results: list[ReplicaResult], level: float = 0.95,
         raise InsufficientDataError(f"need >= 200 replicas, got {len(results)}")
     n = _check_uniform_n(results)
     ti = np.array([r.total_income for r in results])
-    return _bootstrap_ci(lambda s: float(s[n].var(ddof=1)) / n, {n: ti},
+    return _bootstrap_ci(lambda s: s[n].var(axis=-1, ddof=1) / n, {n: ti},
                          level, n_bootstrap, seed)
 
 

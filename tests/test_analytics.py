@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soc_auction import (E_INV, Exponential, InsufficientDataError, LogNormal,
-                         Pareto, Rule, SeedSpec, Uniform,
+                         Pareto, Rule, SeedSpec, Uniform, analytics,
                          empirical_critical_price,
                          empirical_distribution_checks, fit_power_tail,
                          ks_critical_value, ks_statistic, run_sequence,
@@ -184,7 +186,62 @@ def test_fit_matches_discrete_power_law_oracle():
     fit = fit_power_tail((k, p), 10, 10_000, durations=durations,
                          n_bootstrap=60, seed=1)
     assert fit.slope == pytest.approx(-0.5, abs=0.05)
-    assert 0 < fit.stderr < 0.1
+    assert fit.stderr == 0.0043343144872637724
+
+
+def fig2_durations(seed):
+    """The complete avalanche durations of `replicate fig2 --seed <seed>`."""
+    model = LogNormal(0, 0.3)
+    prices = sample(model, SeedSpec(seed, 0), 2_000_000)
+    res = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
+    return segment_avalanches(res.sale_prices, theory_summary(model).xc).durations
+
+
+# the bootstrap draws its resamples in a fixed order, so stderr repeats exactly
+@pytest.mark.parametrize("seed, stderr", [(1, 0.07125709670456348),
+                                          (3, 0.07542273162803853),
+                                          (1007, 0.08903607729654077)])
+def test_fig2_tail_fit_stderr_is_pinned(seed, stderr):
+    d = fig2_durations(seed)
+    survival = survival_function(d, grid="log", k_min=100, k_max=10_000)
+    fit = fit_power_tail(survival, 100, 10_000, durations=d, seed=seed)
+    assert fit.stderr == stderr
+
+
+def test_tail_fit_stderr_drops_sparse_resamples():
+    # 11 of the 250 resamples draw none of 14, 30 and 999, so they keep at
+    # most 2 positive survival points on the grid and are left out
+    d = np.array([1] * 55 + [11, 12, 14, 30, 999])
+    survival = survival_function(d, grid="log", k_min=10, k_max=1000)
+    fit = fit_power_tail(survival, 10, 1000, durations=d, seed=4)
+    assert fit.stderr == 1.0382142986523566
+
+
+def bootstrap_one_resample_at_a_time(d, k_min, k_max, n_bootstrap, seed):
+    """The tail-fit bootstrap as one survival and one median per resample."""
+    rng = SeedSpec(seed).generator()
+    boots = []
+    for _ in range(n_bootstrap):
+        resample = rng.choice(d, size=len(d), replace=True)
+        k, p = survival_function(resample, grid="log", k_min=k_min, k_max=k_max)
+        inside = (k >= k_min) & (k <= k_max)
+        if inside.sum() >= 3:
+            boots.append(analytics._median_pairwise_slope(np.log(k[inside]),
+                                                          np.log(p[inside])))
+    return boots
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       alpha=st.floats(1.2, 2.5), k_min=st.sampled_from([1, 2, 10, 10.5]),
+       span=st.floats(2.0, 2000.0), n_bootstrap=st.integers(1, 40))
+def test_batched_bootstrap_matches_one_resample_at_a_time(seed, n, alpha, k_min,
+                                                          span, n_bootstrap):
+    d = sample_discrete_power_law(alpha, n, 100_000, seed)
+    k_max = k_min * span
+    got = analytics._bootstrap_slopes(d, k_min, k_max, n_bootstrap, seed)
+    assert got.tolist() == bootstrap_one_resample_at_a_time(d, k_min, k_max,
+                                                            n_bootstrap, seed)
 
 
 def test_fit_too_few_points_names_count():

@@ -241,6 +241,16 @@ def test_bad_prices_file_is_config_error(tmp_path, capsys):
         assert not (tmp_path / "summary.json").exists()
 
 
+def test_income_overflow_is_config_error(backend, tmp_path, capsys):
+    pf = tmp_path / "prices.txt"
+    pf.write_text("1.7e308\n1.0\n1.7e308\n1.0\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--prices-file", str(pf), "--out", str(out)])
+    assert rc == 2
+    assert "total income overflows a double" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_prices_file_is_config_error(tmp_path, capsys):
     pf = tmp_path / "prices.txt"
     out = tmp_path / "out"

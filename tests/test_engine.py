@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, RunResult,
@@ -14,16 +14,6 @@ from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, RunResult,
                          run_sequence, sample, uniform_stream)
 
 WORKED_PRICES = [14, 15, 18, 13, 16, 12, 10]
-
-
-@pytest.fixture(params=["c", "python"])
-def backend(request, monkeypatch):
-    """run_sequence folds in the C kernel, or in the Python heap fold `_fold`."""
-    if request.param == "python":
-        monkeypatch.setattr(engine, "_KERNEL", False)
-    elif not engine._kernel():
-        pytest.skip("the C fold kernel cannot be built here")
-    return request.param
 
 
 def assert_same_run(a: RunResult, b: RunResult) -> None:
@@ -276,6 +266,52 @@ def test_conservation_property(backend, prices):
         res = run_sequence(rule, prices)
         lhs = math.fsum([res.total_income, *res.remaining_prices.tolist()])
         assert math.isclose(lhs, math.fsum(prices), rel_tol=1e-9)
+
+
+def test_income_overflow_is_a_named_error(backend):
+    # every rule sells both 1.7e308 bids, whose sum is past the largest double
+    prices = [1.7e308, 1.0, 1.0] * 2
+    for rule in Rule:
+        with pytest.raises(ValueError, match="total income overflows a double"):
+            run_sequence(rule, prices)
+
+
+def kernel_sum(values) -> float:
+    arr = np.ascontiguousarray(values, dtype=float)
+    return engine._kernel().exact_sum(arr.ctypes.data, len(arr))
+
+
+def fsum_or_inf(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+# Hypothesis's own mix of floats, and uniform bit patterns, which spread
+# evenly over every binary exponent, subnormals included
+_positive_doubles = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False),
+    st.integers(1, 0x7FEFFFFFFFFFFFFF).map(
+        lambda bits: float(np.int64(bits).view(np.float64))))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(values=st.lists(_positive_doubles, max_size=200))
+@example(values=[1.0, 2**-53])                # a tie: stays at the even 1.0
+@example(values=[1.0, 2**-53, 2**-106])       # just past the tie: rounds up
+@example(values=[2**-106, 2**-53, 1.0])
+@example(values=[1e-16, 1.0, 1e16])
+@example(values=[2.0**1023, 2.0**970])        # a tie just below overflow
+@example(values=[1.7976931348623157e308, 2.0**970])  # a tie that overflows
+@example(values=[1.7976931348623157e308] * 2)
+@example(values=[0.1] * 100_000)
+@example(values=[5e-324] * 4096)
+def test_exact_sum_matches_fsum(values):
+    if not engine._kernel():
+        pytest.skip("the C fold kernel cannot be built here")
+    # on an intermediate overflow fsum raises and the kernel returns inf
+    assert kernel_sum(values).hex() == fsum_or_inf(values).hex()
 
 
 @pytest.mark.parametrize("rule", [Rule.CLASSIC, Rule.TWO_CONSECUTIVE])
