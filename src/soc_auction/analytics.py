@@ -59,8 +59,6 @@ def theory_summary(model: PriceModel, pc: float = E_INV,
     Heavy-tailed models with infinite mean (or variance) yield a partial
     summary with explicit flags instead of numbers.
     """
-    if not 0 < pc < 1:
-        raise ValueError(f"pc must be in (0, 1), got {pc}")
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
     xc = critical_price(model, pc)
@@ -110,6 +108,8 @@ def ks_critical_value(n: int, alpha: float = 0.01) -> float:
     """Asymptotic critical value sqrt(-ln(alpha/2)/2) / sqrt(n)."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 

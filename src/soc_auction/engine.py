@@ -18,10 +18,10 @@ into `$XDG_CACHE_HOME/soc_auction` (else `~/.cache/soc_auction`), and sums
 the income of every rule there with `exact_sum`, a port of `math.fsum`.
 Where no kernel can be built or loaded it runs `_fold`, the Python heap
 loop, and `math.fsum`, with the same outputs about twenty times slower.
-`AuctionEngine` always feeds one bid at a time through `_fold`.
-`oracle_run` rescans the pool at every step and shares no rule code with
-either: it is the independent reference the tests compare against. Prices
-must be finite and > 0.
+`AuctionEngine` feeds one bid at a time through `_fold` and sums its income
+with the same `_total_income`. `oracle_run` rescans the pool at every step
+and shares no rule code with either: it is the independent reference the
+tests compare against. Prices must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import enum
 import heapq
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -69,42 +70,39 @@ class AuctionEngine:
 
     Each bid goes through the same heap fold as `run_sequence`, so a run
     fed bid by bid gives the same sales and pool as the whole-list fold.
-    Income is accumulated with compensated summation so the conservation
-    identity holds to 1e-9 relative even for multi-million-bid runs.
+    Counts and income derive from the pool and the sale prices: each read
+    of `total_income` sums the sales with `run_sequence`'s `_total_income`
+    (same bits; past the largest double, its ValueError), ~25 ms per 1.26e6
+    sales on a 2-core Xeon (~0.1 s without the C kernel). A sale keeps 8 B.
     """
 
     def __init__(self, rule: Rule | str = Rule.CLASSIC):
         self.rule = Rule(rule)
-        self.bids_seen = 0
-        self.accepted_count = 0
         self._armed = True  # may a lower arrival execute the maximum?
         self._heap: list[tuple[float, int]] = []  # (-price, index)
-        self._income = 0.0
-        self._income_carry = 0.0
+        self._sold = array("d")  # sale prices in sale order
+
+    @property
+    def bids_seen(self) -> int:
+        return len(self._heap) + len(self._sold)  # each bid is pooled or sold
+
+    @property
+    def accepted_count(self) -> int:
+        return len(self._sold)
 
     @property
     def total_income(self) -> float:
-        return self._income + self._income_carry
+        return _total_income(np.frombuffer(self._sold))
 
     @property
     def n_remaining(self) -> int:
         return len(self._heap)
-
-    def _add_income(self, y: float) -> None:
-        # Neumaier compensated summation
-        t = self._income + y
-        if abs(self._income) >= abs(y):
-            self._income_carry += (self._income - t) + y
-        else:
-            self._income_carry += (y - t) + self._income
-        self._income = t
 
     def submit_bid(self, price: float) -> Optional[SaleRecord]:
         """Process one arriving bid; returns the SaleRecord if a sale fired."""
         if not 0 < price < math.inf:
             raise ValueError(f"bid price must be finite and > 0, got {price}")
         i = self.bids_seen + 1
-        self.bids_seen = i
         if self.rule is Rule.ACCEPT_ALL:
             sold, j = price, i
         else:
@@ -114,9 +112,8 @@ class AuctionEngine:
             if not sale_p:
                 return None
             sold, j = sale_p[0], acc[0]
-        self.accepted_count += 1
-        self._add_income(sold)
-        return SaleRecord(self.accepted_count, sold, j, i)
+        self._sold.append(sold)
+        return SaleRecord(len(self._sold), sold, j, i)
 
     def remaining_bids(self) -> list[Bid]:
         """Remaining pool as Bid objects, sorted by arrival index."""

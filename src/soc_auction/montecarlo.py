@@ -42,7 +42,13 @@ class EstimateWithCI:
     level: float
 
 
+def _check_level(level: float) -> None:
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
 def _z_value(level: float) -> float:
+    _check_level(level)
     return float(ndtri(0.5 + level / 2.0))
 
 
@@ -65,7 +71,8 @@ def map_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     one = partial(_one_replica, model, Rule(rule), n_bids, master_seed, reduce)
-    if workers == 1 or n_replicas == 1:
+    workers = min(workers, n_replicas)  # a pool forks all its workers up front
+    if workers == 1:
         return [one(r) for r in range(n_replicas)]
     chunk = max(1, n_replicas // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -104,6 +111,9 @@ def _bootstrap_ci(stat, samples: dict, level: float, n_bootstrap: int,
     the resamples of each array are the rows of one matrix. A block holds
     _BOOT_BLOCK resamples, which bounds the memory the matrices take.
     """
+    _check_level(level)
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     point = float(stat(samples))
     rng = SeedSpec(seed).generator()
     boots = []

@@ -283,6 +283,12 @@ def test_ks_statistic_against_known_cdf():
     assert stat_bad > ks_critical_value(len(u), 0.01)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5, -1.0, math.nan])
+def test_ks_critical_value_names_a_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be in"):
+        ks_critical_value(100, alpha)
+
+
 def test_mean_avalanche_duration_grows_with_run_length():
     model = LogNormal(0, 0.3)
     xc = theory_summary(model).xc

@@ -134,7 +134,7 @@ def test_engine_matches_run_sequence():
         assert [r.accepted_bid_index for r in records] == res.accepted_indices.tolist()
         assert [r.trigger_bid_index for r in records] == res.trigger_indices.tolist()
         assert eng.accepted_count == res.n_sales
-        assert math.isclose(eng.total_income, res.total_income, rel_tol=1e-12)
+        assert eng.total_income == res.total_income
         assert eng.remaining_prices().tolist() == res.remaining_prices.tolist()
 
 
@@ -274,6 +274,11 @@ def test_income_overflow_is_a_named_error(backend):
     for rule in Rule:
         with pytest.raises(ValueError, match="total income overflows a double"):
             run_sequence(rule, prices)
+        eng = AuctionEngine(rule)
+        for p in prices:
+            eng.submit_bid(p)
+        with pytest.raises(ValueError, match="total income overflows a double"):
+            eng.total_income
 
 
 def kernel_sum(values) -> float:
@@ -312,6 +317,27 @@ def test_exact_sum_matches_fsum(values):
         pytest.skip("the C fold kernel cannot be built here")
     # on an intermediate overflow fsum raises and the kernel returns inf
     assert kernel_sum(values).hex() == fsum_or_inf(values).hex()
+
+
+def income_or_error(total) -> str:
+    # a drawn list can sum past the largest double
+    try:
+        return total().hex()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(prices=st.lists(_positive_doubles, max_size=60))
+@example(prices=[1.0, 2**-53, 2**-106])  # just past a tie: rounds up
+def test_engine_income_is_run_sequence_income(backend, prices):
+    for rule in Rule:
+        eng = AuctionEngine(rule)
+        for p in prices:
+            eng.submit_bid(p)
+        assert (income_or_error(lambda: eng.total_income)
+                == income_or_error(lambda: run_sequence(rule, prices).total_income))
 
 
 @pytest.mark.parametrize("rule", [Rule.CLASSIC, Rule.TWO_CONSECUTIVE])

@@ -7,8 +7,9 @@ import pytest
 
 from soc_auction import (E_INV, InsufficientDataError, LogNormal, ReplicaResult,
                          Rule, SeedSpec, Uniform, engine, estimate_af,
-                         estimate_b, estimate_pc, quantile, run_replicas,
-                         run_sequence, sample, ti_normality, uniform_stream)
+                         estimate_b, estimate_pc, montecarlo, quantile,
+                         run_replicas, run_sequence, sample, ti_normality,
+                         uniform_stream)
 
 
 def test_run_replicas_deterministic_and_worker_invariant():
@@ -32,6 +33,32 @@ def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch):
     [lib] = (tmp_path / "soc_auction").iterdir()  # one kernel, no temp file
     assert lib.suffix == ".so"
     assert pooled == run_replicas(model, Rule.CLASSIC, 2000, 8, master_seed=5)
+
+
+def test_pool_starts_at_most_one_worker_per_replica(monkeypatch):
+    started = []
+
+    class SerialPool:  # records the pool size, then maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    model = LogNormal(0, 0.3)
+    serial = run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    assert run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5,
+                        workers=4096) == serial
+    assert run_replicas(model, Rule.CLASSIC, 500, 1, master_seed=5,
+                        workers=4096) == serial[:1]
+    assert started == [3]
 
 
 def test_replica_matches_direct_run():
@@ -202,6 +229,24 @@ def test_estimate_af_errors():
     reps = run_replicas(model, Rule.CLASSIC, 100, 150, master_seed=6)
     with pytest.raises(InsufficientDataError):
         estimate_af(reps)
+
+
+@pytest.mark.parametrize("estimator, kwargs, name", [
+    (estimate_pc, {"level": 1.5}, "level"),
+    (estimate_pc, {"level": -1.0}, "level"),
+    (estimate_pc, {"level": 1.0}, "level"),
+    (estimate_pc, {"level": math.nan}, "level"),
+    (estimate_b, {"level": 0.0}, "level"),
+    (estimate_b, {"n_bootstrap": 0}, "n_bootstrap"),
+    (estimate_af, {"level": 2.0}, "level"),
+    (estimate_af, {"n_bootstrap": 0}, "n_bootstrap"),
+    (estimate_af, {"n_bootstrap": -3}, "n_bootstrap"),
+])
+def test_estimator_arguments_get_named_errors(estimator, kwargs, name):
+    reps = {n: run_replicas(Uniform(0, 1), Rule.CLASSIC, n, 200, master_seed=n)
+            for n in (100, 200, 300)}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        estimator(reps if estimator is estimate_b else reps[100], **kwargs)
 
 
 # =====================================================================
