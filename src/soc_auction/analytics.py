@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import E_INV, PriceModel, SeedSpec, critical_price
+from .distributions import (E_INV, PriceModel, _resample_blocks,
+                            critical_price)
 from .errors import InfiniteMomentError, InsufficientDataError
 
 # Asymptotic variance constant of the accepted-bid count, var ~ b N.
@@ -57,10 +58,11 @@ def theory_summary(model: PriceModel, pc: float = E_INV,
     """Critical price, per-bid income, and the variance approximation.
 
     Heavy-tailed models with infinite mean (or variance) yield a partial
-    summary with explicit flags instead of numbers.
+    summary with explicit flags instead of numbers. A b that is not finite
+    and >= 0, or a value past the range of a double, is a ValueError.
     """
-    if b < 0:
-        raise ValueError(f"b must be >= 0, got {b}")
+    if not 0 <= b < math.inf:
+        raise ValueError(f"b must be finite and >= 0, got {b}")
     xc = critical_price(model, pc)
     accepted = 1.0 - pc
     ti_per_bid = mean_y = var_y = af = None
@@ -71,6 +73,11 @@ def theory_summary(model: PriceModel, pc: float = E_INV,
         af = accepted * var_y + b * mean_y ** 2
     except InfiniteMomentError:
         pass  # the first moment that diverged leaves itself and the rest None
+    except (OverflowError, ZeroDivisionError):
+        af = math.inf  # a moment is past the largest double
+    if not all(math.isfinite(v) for v in (xc, ti_per_bid, mean_y, var_y, af)
+               if v is not None):
+        raise ValueError(f"{model.spec_string()}: past the range of a double")
     return TheorySummary(pc=pc, xc=xc, expected_sales_fraction=accepted,
                          b_constant=b, expected_ti_per_bid=ti_per_bid,
                          mean_Y=mean_y, var_Y=var_y, af_approx=af,
@@ -258,81 +265,64 @@ class TailFit:
     n_points: int
 
 
-def _median_pairwise_slope(logk: np.ndarray, logp: np.ndarray) -> float:
+def _median_slopes(logk: np.ndarray, logp: np.ndarray,
+                   valid: np.ndarray) -> np.ndarray:
+    """Median of the slopes (logp[j] - logp[i]) / (logk[j] - logk[i]) of each
+    row of `logp`, over the pairs of its `valid` points with distinct `logk`,
+    as np.median takes it; NaN for a row with no such pair."""
     i, j = np.triu_indices(len(logk), 1)
     dx = logk[j] - logk[i]
-    good = dx != 0
-    if not good.any():
-        raise InsufficientDataError("no distinct k pairs to form slopes")
-    return float(np.median((logp[j] - logp[i])[good] / dx[good]))
-
-
-def _row_median_slopes(logk: np.ndarray, logp: np.ndarray,
-                       valid: np.ndarray) -> np.ndarray:
-    """`_median_pairwise_slope` of each row of `logp` over its `valid`
-    points, with the same float operations; `logk` is strictly increasing."""
-    i, j = np.triu_indices(len(logk), 1)
-    slopes = logp[:, j]
-    slopes -= logp[:, i]
-    slopes /= logk[j] - logk[i]
-    # a pair touching an invalid point is NaN, which sorts after every slope
-    slopes[~(valid[:, i] & valid[:, j])] = np.nan
+    slopes = logp[:, j] - logp[:, i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes /= dx
+    # a pair left out is NaN, which sorts after every slope
+    slopes[~(valid[:, i] & valid[:, j]) | (dx == 0)] = np.nan
     slopes.sort(axis=1)
-    # the median as np.median takes it: the middle value, or the mean of
-    # the two middle values
-    m = np.count_nonzero(valid, axis=1)
-    pairs = m * (m - 1) // 2
+    # the middle value, or the mean of the two middle values
+    pairs = len(dx) - np.count_nonzero(np.isnan(slopes), axis=1)
     rows = np.arange(len(pairs))
-    hi = slopes[rows, pairs // 2]
-    lo = slopes[rows, (pairs - 1) // 2]
+    hi, lo = slopes[rows, pairs // 2], slopes[rows, (pairs - 1) // 2]
     return np.where(pairs % 2 == 1, hi, (lo + hi) / 2)
 
 
 def _bootstrap_slopes(d: np.ndarray, k_min, k_max, n_bootstrap: int,
                       seed: int) -> np.ndarray:
-    """`_median_pairwise_slope` of the log-grid survival of each resample of
-    `d`, in draw order, leaving out resamples with < 3 positive points.
-
-    Each resample is drawn from SeedSpec(seed) and cut down at once to its
-    survival counts on the grid, so memory stays O(len(d)). The slopes and
-    medians are then taken 64 resamples at a time, which bounds their
-    (resamples, pairs) matrix to about 1 MB, with the same float operations
-    as `survival_function` and `_median_pairwise_slope`.
-    """
+    """The tail-fit slope of the log-grid survival of each resample of `d`,
+    in draw order, leaving out resamples with < 3 positive points. Each
+    resample is cut down at once to its survival counts on the grid."""
     try:
         ks = _log_grid(k_min, k_max, _LOG_GRID_POINTS)
     except ValueError:
         return np.empty(0)  # no grid, so no resample has a survival to fit
-    n = len(d)
-    if n == 0:
+    if len(d) == 0:
         return np.empty(0)
-    rng = SeedSpec(seed).generator()
-    counts = np.stack([
-        np.searchsorted(np.sort(rng.choice(d, size=n, replace=True)), ks,
-                        side="right")
-        for _ in range(n_bootstrap)])
-    p = 1.0 - counts / n
-    valid = (p > 0) & (ks >= k_min) & (ks <= k_max)
-    keep = np.count_nonzero(valid, axis=1) >= 3
-    valid = valid[keep]
-    logp = np.log(np.where(valid, p[keep], 1.0))
     logk = np.log(ks)
-    boots = np.empty(len(valid))
-    for start in range(0, len(valid), 64):
-        rows = slice(start, start + 64)
-        boots[rows] = _row_median_slopes(logk, logp[rows], valid[rows])
-    return boots
+    boots = []
+    for rows in _resample_blocks(
+            {"d": d}, n_bootstrap, seed,
+            cut=lambda v: np.searchsorted(np.sort(v), ks, side="right")):
+        p = 1.0 - rows["d"] / len(d)
+        valid = (p > 0) & (ks >= k_min) & (ks <= k_max)
+        keep = np.count_nonzero(valid, axis=1) >= 3
+        valid = valid[keep]
+        logp = np.log(np.where(valid, p[keep], 1.0))
+        boots.append(_median_slopes(logk, logp, valid))
+    return np.concatenate(boots)
 
 
 def fit_power_tail(survival: tuple[np.ndarray, np.ndarray], k_min: int,
                    k_max: int, *, durations=None, n_bootstrap: int = 250,
                    seed: int = 0) -> TailFit:
-    """Slope of log P(tau > k) versus log k by median-of-pairwise-slopes.
+    """Slope of log P(tau > k) versus log k: the median of the slopes
+    between the survival points in [k_min, k_max], over every pair with
+    distinct k (`_median_slopes`), in any order of the points.
 
     Scale-free and resistant to the finite-size drop at the far tail.
-    When the raw durations are supplied, stderr is the bootstrap spread of
-    the slope over resampled duration sets (log-grid survival recomputed
-    per resample); otherwise stderr is NaN.
+    When the raw durations are supplied, stderr is the standard deviation
+    of the same slope over the `n_bootstrap` resamples of the durations
+    that `_resample_blocks` draws from `seed`, with the log-grid survival
+    recomputed per resample and resamples with < 3 positive points left
+    out; otherwise stderr is NaN.
     """
     ks, p = survival
     ks = np.asarray(ks)
@@ -342,7 +332,10 @@ def fit_power_tail(survival: tuple[np.ndarray, np.ndarray], k_min: int,
     if n_in < 10:
         raise InsufficientDataError(
             f"only {n_in} survival points in [{k_min}, {k_max}], need >= 10")
-    slope = _median_pairwise_slope(np.log(ks[inside]), np.log(p[inside]))
+    logk, logp = np.log(ks[inside]), np.log(p[None, inside])
+    slope = float(_median_slopes(logk, logp, np.ones_like(logp, bool))[0])
+    if math.isnan(slope):
+        raise InsufficientDataError("no distinct k pairs to form slopes")
 
     stderr = math.nan
     if durations is not None and n_bootstrap > 0:

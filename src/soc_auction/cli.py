@@ -1,11 +1,12 @@
 """Command-line surface: simulate runs, compute theory, fit avalanches, and
 replicate the reference figures as plottable data files.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 insufficient
-data. All outputs are deterministic given the configuration and seed; reruns
-produce byte-identical CSV bodies. Every CSV cell follows one rule (in
-`_write_csv`): reals at 17 significant digits, which round-trips doubles
-losslessly; integers bare; an empty cell where no sale fired.
+Exit codes: 0 success, 2 configuration error (or a run too large for
+memory), 3 I/O error, 4 insufficient data. All outputs are deterministic
+given the configuration and seed; reruns produce byte-identical CSV bodies.
+Every CSV cell follows one rule (in `_write_csv`): reals at 17 significant
+digits, which round-trips doubles losslessly; integers bare; an empty cell
+where no sale fired.
 """
 
 from __future__ import annotations
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

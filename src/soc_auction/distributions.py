@@ -58,6 +58,28 @@ def uniform_stream(seed: SeedSpec, n: int) -> np.ndarray:
     return seed.generator().random(n)
 
 
+_BOOT_BLOCK = 64  # resamples per block: bounds the memory a block takes
+
+
+def _resample_blocks(samples: dict, n_bootstrap: int, seed: int,
+                     cut=lambda v: v):
+    """`n_bootstrap` bootstrap resamples of every array in `samples`, drawn
+    with replacement from SeedSpec(seed), resample after resample and in
+    dict order, as dicts of row matrices of at most _BOOT_BLOCK rows each.
+    The row kept of a drawn array v is `cut(v)`, taken at once."""
+    rng = SeedSpec(seed).generator()
+    for start in range(0, n_bootstrap, _BOOT_BLOCK):
+        block = min(_BOOT_BLOCK, n_bootstrap - start)
+        rows = {}
+        for b in range(block):
+            for k, v in samples.items():
+                row = cut(rng.choice(v, size=len(v), replace=True))
+                if b == 0:
+                    rows[k] = np.empty((block, *row.shape), row.dtype)
+                rows[k][b] = row
+        yield rows
+
+
 # =====================================================================
 # Price models
 # =====================================================================

@@ -27,6 +27,7 @@ tests compare against. Prices must be finite and > 0.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 import os
@@ -200,12 +201,13 @@ def _fold(pl, heap: list[tuple[float, int]], armed: bool, i: int,
 
 
 _CC = ("cc", "-O2", "-shared", "-fPIC")
-_KERNEL = None  # the loaded kernels; False if they cannot be; None untried
 
 
-def _load_kernel():
+@functools.cache
+def _kernel():
     """The C kernels of `_fold.c`, compiled with the system C compiler into
-    the per-user cache on first use; None if they cannot be built or loaded."""
+    the per-user cache on first use; None if they cannot be built or loaded.
+    Tried once per process."""
     import ctypes
     import hashlib
     import subprocess
@@ -241,13 +243,6 @@ def _load_kernel():
     exact_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     exact_sum.restype = ctypes.c_double
     return kernel
-
-
-def _kernel():
-    global _KERNEL
-    if _KERNEL is None:
-        _KERNEL = _load_kernel() or False
-    return _KERNEL
 
 
 def _fold_run(arr: np.ndarray, two_consecutive: bool):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .distributions import PriceModel, SeedSpec, sample
+from .distributions import PriceModel, SeedSpec, _resample_blocks, sample
 from .engine import Rule, RunResult, run_sequence
 from .errors import InsufficientDataError
 
@@ -45,11 +45,6 @@ class EstimateWithCI:
 def _check_level(level: float) -> None:
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
-
-
-def _z_value(level: float) -> float:
-    _check_level(level)
-    return float(ndtri(0.5 + level / 2.0))
 
 
 def _one_replica(model: PriceModel, rule: Rule, n_bids: int,
@@ -99,32 +94,20 @@ def _check_uniform_n(results: list[ReplicaResult]) -> int:
     return ns.pop()
 
 
-_BOOT_BLOCK = 64
-
-
 def _bootstrap_ci(stat, samples: dict, level: float, n_bootstrap: int,
                   seed: int) -> EstimateWithCI:
-    """`stat(samples)` with a percentile CI over resamples of every array,
-    each drawn with replacement in dict order from SeedSpec(seed).
+    """`stat(samples)` with a percentile CI over the resamples that
+    `_resample_blocks(samples, n_bootstrap, seed)` draws.
 
     `stat` reduces the last axis, so it takes a block of resamples at once:
-    the resamples of each array are the rows of one matrix. A block holds
-    _BOOT_BLOCK resamples, which bounds the memory the matrices take.
+    the resamples of each array are the rows of one matrix.
     """
     _check_level(level)
     if n_bootstrap < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     point = float(stat(samples))
-    rng = SeedSpec(seed).generator()
-    boots = []
-    for start in range(0, n_bootstrap, _BOOT_BLOCK):
-        block = min(_BOOT_BLOCK, n_bootstrap - start)
-        rows = {k: np.empty((block, len(v)), v.dtype) for k, v in samples.items()}
-        for b in range(block):
-            for k, v in samples.items():
-                rows[k][b] = rng.choice(v, size=len(v), replace=True)
-        boots.append(stat(rows))
-    boots = np.concatenate(boots)
+    boots = np.concatenate([stat(rows) for rows in
+                            _resample_blocks(samples, n_bootstrap, seed)])
     lo, hi = np.quantile(boots, [(1 - level) / 2, (1 + level) / 2])
     return EstimateWithCI(point, min(float(lo), point), max(float(hi), point),
                           sum(map(len, samples.values())), level)
@@ -141,7 +124,8 @@ def estimate_pc(results: list[ReplicaResult], level: float = 0.95) -> EstimateWi
     fracs = np.array([r.n_sales / n for r in results])
     point = 1.0 - float(fracs.mean())
     se = float(fracs.std(ddof=1)) / math.sqrt(len(fracs))
-    z = _z_value(level)
+    _check_level(level)
+    z = float(ndtri(0.5 + level / 2.0))
     return EstimateWithCI(point, point - z * se, point + z * se,
                           len(results), level)
 

@@ -1,11 +1,12 @@
 """Analytics tests: theory summary values, avalanche segmentation, survival,
 and the robust tail fit against synthetic power-law oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soc_auction import (E_INV, Exponential, InsufficientDataError, LogNormal,
@@ -63,8 +64,13 @@ def test_theory_summary_infinite_mean_flags():
 def test_theory_summary_domain():
     with pytest.raises(ValueError):
         theory_summary(Uniform(0, 1), pc=1.0)
-    with pytest.raises(ValueError):
-        theory_summary(Uniform(0, 1), b=-0.1)
+    for b in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="b must be finite and >= 0"):
+            theory_summary(Uniform(0, 1), b=b)
+    # E[X^2] is e^1800 and e^1002; 2 / rate^2 divides by an underflowed 0
+    for model in (LogNormal(0, 30), LogNormal(500, 1), Exponential(1e-300)):
+        with pytest.raises(ValueError, match="past the range of a double"):
+            theory_summary(model)
 
 
 def test_empirical_critical_price():
@@ -217,6 +223,16 @@ def test_tail_fit_stderr_drops_sparse_resamples():
     assert fit.stderr == 1.0382142986523566
 
 
+def median_pairwise_slope(k, p) -> float:
+    """np.median of the slopes between every two points with distinct log k;
+    NaN when there is no such pair."""
+    logk, logp = np.log(k), np.log(p)
+    slopes = [(logp[b] - logp[a]) / (logk[b] - logk[a])
+              for a, b in itertools.combinations(range(len(k)), 2)
+              if logk[a] != logk[b]]
+    return float(np.median(slopes)) if slopes else math.nan
+
+
 def bootstrap_one_resample_at_a_time(d, k_min, k_max, n_bootstrap, seed):
     """The tail-fit bootstrap as one survival and one median per resample."""
     rng = SeedSpec(seed).generator()
@@ -226,8 +242,7 @@ def bootstrap_one_resample_at_a_time(d, k_min, k_max, n_bootstrap, seed):
         k, p = survival_function(resample, grid="log", k_min=k_min, k_max=k_max)
         inside = (k >= k_min) & (k <= k_max)
         if inside.sum() >= 3:
-            boots.append(analytics._median_pairwise_slope(np.log(k[inside]),
-                                                          np.log(p[inside])))
+            boots.append(median_pairwise_slope(k[inside], p[inside]))
     return boots
 
 
@@ -242,6 +257,23 @@ def test_batched_bootstrap_matches_one_resample_at_a_time(seed, n, alpha, k_min,
     got = analytics._bootstrap_slopes(d, k_min, k_max, n_bootstrap, seed)
     assert got.tolist() == bootstrap_one_resample_at_a_time(d, k_min, k_max,
                                                             n_bootstrap, seed)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(1, 60), st.floats(1e-9, 1.0)),
+                       min_size=10, max_size=40))
+@example(points=[(k, 1.0 / k) for k in range(30, 10, -2)])  # distinct, descending
+@example(points=[(7, 0.5), (3, 0.9)] * 5)                   # two k, each repeated
+@example(points=[(7, 0.5)] * 12)                            # no distinct k pair
+def test_fit_slope_is_the_median_of_pairwise_slopes(points):
+    # drawn points come in any order, and k repeats often
+    ks, p = map(np.array, zip(*points))
+    want = median_pairwise_slope(ks, p)
+    if math.isnan(want):
+        with pytest.raises(InsufficientDataError, match="no distinct k pairs"):
+            fit_power_tail((ks, p), 1, 60)
+    else:
+        assert fit_power_tail((ks, p), 1, 60).slope == want
 
 
 def test_fit_too_few_points_names_count():

@@ -286,6 +286,35 @@ def test_theory_out_writes_the_bytes_it_prints(tmp_path, capsys):
     assert (tmp_path / "theory.json").read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [
+    ["--model", "lognormal:mu=0,sigma=0.3", "--b", "nan"],
+    ["--model", "lognormal:mu=0,sigma=0.3", "--b", "inf"],
+    ["--model", "lognormal:mu=0,sigma=30"],
+    ["--model", "lognormal:mu=500,sigma=1"],
+    ["--model", "exponential:rate=1e-300"],
+])
+def test_theory_out_of_range_is_config_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["theory", *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
+
+
+def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
+    def no_memory(model, seed, n):
+        raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+    monkeypatch.setattr("soc_auction.cli.sample", no_memory)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "1e13",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 80000000000000 bytes\n")
+    assert not out.exists()
+
+
 def test_theory_infinite_mean_flags(tmp_path, capsys):
     rc = main(["theory", "--model", "pareto:xmin=1,alpha=1.5",
                "--out", str(tmp_path)])

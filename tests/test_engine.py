@@ -1,6 +1,7 @@
 """Engine unit tests: selling rules, state invariants, oracle equivalence."""
 
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -346,13 +347,14 @@ def test_kernel_matches_python_fold(rule, monkeypatch):
         pytest.skip("the C fold kernel cannot be built here")
     prices = sample(LogNormal(0, 0.3), SeedSpec(37, 0), 200_000)
     fast = run_sequence(rule, prices)
-    monkeypatch.setattr(engine, "_KERNEL", False)
+    monkeypatch.setattr(engine, "_kernel", lambda: None)
     assert_same_run(fast, run_sequence(rule, prices))
 
 
 def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):
     prices = sample(LogNormal(0, 0.3), SeedSpec(41, 0), 3000)
-    monkeypatch.setattr(engine, "_KERNEL", False)
+    load = engine._kernel.__wrapped__
+    monkeypatch.setattr(engine, "_kernel", lambda: None)
     expected = [run_sequence(rule, prices) for rule in Rule]
     (tmp_path / "file").write_text("")
     for env in ({"PATH": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "c")},
@@ -360,10 +362,11 @@ def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             for k, v in env.items():
                 m.setenv(k, v)
-            m.setattr(engine, "_KERNEL", None)
+            m.setattr(engine, "_kernel", functools.cache(load))  # a cold cache
             for rule, want in zip(Rule, expected):
                 assert_same_run(run_sequence(rule, prices), want)
-            assert engine._KERNEL is False
+            assert engine._kernel() is None
+            assert engine._kernel.cache_info().misses == 1  # tried once
 
 
 def test_worked_example_oracle():

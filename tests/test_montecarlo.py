@@ -1,5 +1,6 @@
 """Monte Carlo tests: replica determinism, estimator values and error paths."""
 
+import functools
 import math
 
 import numpy as np
@@ -26,10 +27,12 @@ def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch):
     if not engine._kernel():
         pytest.skip("the C fold kernel cannot be built here")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(engine, "_KERNEL", None)
+    monkeypatch.setattr(engine, "_kernel",
+                        functools.cache(engine._kernel.__wrapped__))
     model = LogNormal(0, 0.3)
     pooled = run_replicas(model, Rule.CLASSIC, 2000, 8, master_seed=5, workers=2)
-    assert engine._KERNEL is None  # the workers built it, not this process
+    # the workers built it, not this process
+    assert engine._kernel.cache_info().currsize == 0
     [lib] = (tmp_path / "soc_auction").iterdir()  # one kernel, no temp file
     assert lib.suffix == ".so"
     assert pooled == run_replicas(model, Rule.CLASSIC, 2000, 8, master_seed=5)
