@@ -67,9 +67,9 @@ def theory_summary(model: PriceModel, pc: float = E_INV,
     accepted = 1.0 - pc
     ti_per_bid = mean_y = var_y = af = None
     try:
-        ti_per_bid = model.tail_mean(xc)
+        ti_per_bid = model.tail_moment(xc, 1)
         mean_y = ti_per_bid / accepted
-        var_y = model.tail_moment2(xc) / accepted - mean_y ** 2
+        var_y = model.tail_moment(xc, 2) / accepted - mean_y ** 2
         af = accepted * var_y + b * mean_y ** 2
     except InfiniteMomentError:
         pass  # the first moment that diverged leaves itself and the rest None
@@ -219,17 +219,20 @@ def segment_avalanches(sales, xc: float) -> AvalancheSet:
 _LOG_GRID_POINTS = 60
 
 
-def _log_grid(k_min, k_max, n_points: int) -> np.ndarray:
-    """Log-spaced integers in [k_min, k_max], deduplicated."""
+def _check_k_range(k_min, k_max) -> None:
     if not 1 <= k_min < k_max:
         raise ValueError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
+
+
+def _log_grid(k_min, k_max) -> np.ndarray:
+    """_LOG_GRID_POINTS log-spaced integers in [k_min, k_max], deduplicated."""
+    _check_k_range(k_min, k_max)
     return np.unique(np.round(np.logspace(math.log10(k_min), math.log10(k_max),
-                                          n_points)).astype(np.int64))
+                                          _LOG_GRID_POINTS)).astype(np.int64))
 
 
 def survival_function(durations, *, grid: str = "all", k_min: int = 1,
                       k_max: Optional[int] = None,
-                      n_points: int = _LOG_GRID_POINTS,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical survival P(tau > k).
 
@@ -244,7 +247,7 @@ def survival_function(durations, *, grid: str = "all", k_min: int = 1,
     if grid == "all":
         ks = np.arange(0, d[-1] + 1, dtype=np.int64)
     elif grid == "log":
-        ks = _log_grid(k_min, int(d[-1]) if k_max is None else k_max, n_points)
+        ks = _log_grid(k_min, int(d[-1]) if k_max is None else k_max)
     else:
         raise ValueError(f"grid must be 'all' or 'log', got {grid!r}")
     p = 1.0 - np.searchsorted(d, ks, side="right") / n
@@ -290,12 +293,9 @@ def _bootstrap_slopes(d: np.ndarray, k_min, k_max, n_bootstrap: int,
     """The tail-fit slope of the log-grid survival of each resample of `d`,
     in draw order, leaving out resamples with < 3 positive points. Each
     resample is cut down at once to its survival counts on the grid."""
-    try:
-        ks = _log_grid(k_min, k_max, _LOG_GRID_POINTS)
-    except ValueError:
-        return np.empty(0)  # no grid, so no resample has a survival to fit
     if len(d) == 0:
         return np.empty(0)
+    ks = _log_grid(k_min, k_max)
     logk = np.log(ks)
     boots = []
     for rows in _resample_blocks(
@@ -322,8 +322,10 @@ def fit_power_tail(survival: tuple[np.ndarray, np.ndarray], k_min: int,
     of the same slope over the `n_bootstrap` resamples of the durations
     that `_resample_blocks` draws from `seed`, with the log-grid survival
     recomputed per resample and resamples with < 3 positive points left
-    out; otherwise stderr is NaN.
+    out; otherwise stderr is NaN. A range other than 1 <= k_min < k_max is
+    a ValueError.
     """
+    _check_k_range(k_min, k_max)
     ks, p = survival
     ks = np.asarray(ks)
     p = np.asarray(p, dtype=float)

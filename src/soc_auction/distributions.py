@@ -93,10 +93,10 @@ class PriceModel:
         _sf(x)   survival P(X > x), 1 below the support
         _isf(q)  its inverse: the price whose survival is q, for q in (0, 1]
 
-    and the two truncated moments used by the income theory:
+    and the truncated moment used by the income theory (power 1 gives the
+    income per bid, power 2 its variance):
 
-        tail_mean(c)    = integral of x f(x) over [c, inf)
-        tail_moment2(c) = integral of x^2 f(x) over [c, inf)
+        tail_moment(c, power) = integral of x^power f(x) over [c, inf)
 
     The public cdf is 1 - _sf. Quantiles and draws come from
     _ppf(u) = _isf(1 - u), unless a family keeps a closed form of its own.
@@ -120,11 +120,19 @@ class PriceModel:
     def cdf(self, x):
         return _scalarize(x, 1.0 - self._sf(np.asarray(x, dtype=float)))
 
-    def tail_mean(self, c: float) -> float:
+    def tail_moment(self, c: float, power: int) -> float:
         raise NotImplementedError
 
-    def tail_moment2(self, c: float) -> float:
-        raise NotImplementedError
+    def _check_draws(self):
+        """Refuse a law whose draws leave the finite positive doubles: the
+        quantiles at the smallest and largest uniforms a draw can see must
+        both be finite and > 0. Each family calls it last in __post_init__."""
+        with np.errstate(all="ignore"):
+            ends = self._ppf(np.array([_U_FLOOR, 1.0 - 2.0 ** -53]))
+        if not (np.isfinite(ends).all() and (ends > 0).all()):
+            lo, hi = map(float, ends)
+            raise ValueError(f"draws leave the finite positive doubles: "
+                             f"quantile(2^-53) = {lo!r}, quantile(1 - 2^-53) = {hi!r}")
 
     def spec_string(self) -> str:
         body = ",".join(f"{f.name}={_spec_number(getattr(self, f.name))}"
@@ -151,6 +159,7 @@ class Exponential(PriceModel):
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
+        self._check_draws()
 
     def _sf(self, x):
         return np.exp(-self.rate * np.maximum(x, 0.0))
@@ -161,14 +170,16 @@ class Exponential(PriceModel):
     def _ppf(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
 
-    def tail_mean(self, c):
-        c = max(c, 0.0)
-        return (c + 1.0 / self.rate) * math.exp(-self.rate * c)
-
-    def tail_moment2(self, c):
+    def tail_moment(self, c, power):
+        # e^(-lam c) sum_j power!/j! c^j / lam^(power-j), from j = power down.
+        # c^j is a product, not c ** j: libm's pow(c, 2) is not always c * c
         c = max(c, 0.0)
         lam = self.rate
-        return (c * c + 2.0 * c / lam + 2.0 / lam ** 2) * math.exp(-lam * c)
+        total = 0.0
+        for j in range(power, -1, -1):
+            coef = math.factorial(power) // math.factorial(j)
+            total += coef * math.prod([c] * j) / lam ** (power - j)
+        return total * math.exp(-lam * c)
 
 
 @dataclass(frozen=True)
@@ -179,6 +190,7 @@ class LogNormal(PriceModel):
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        self._check_draws()
 
     def _sf(self, x):
         with np.errstate(divide="ignore"):  # log(0) = -inf: survival 1
@@ -190,17 +202,12 @@ class LogNormal(PriceModel):
     def _ppf(self, u):
         return np.exp(self.mu + self.sigma * ndtri(np.asarray(u, dtype=float)))
 
-    def tail_mean(self, c):
-        m = math.exp(self.mu + 0.5 * self.sigma ** 2)
+    def tail_moment(self, c, power):
+        s2 = power * self.sigma ** 2
+        m = math.exp(power * self.mu + 0.5 * power * s2)
         if c <= 0:
             return m
-        return m * ndtr((self.mu + self.sigma ** 2 - math.log(c)) / self.sigma)
-
-    def tail_moment2(self, c):
-        m2 = math.exp(2.0 * self.mu + 2.0 * self.sigma ** 2)
-        if c <= 0:
-            return m2
-        return m2 * ndtr((self.mu + 2.0 * self.sigma ** 2 - math.log(c)) / self.sigma)
+        return m * ndtr((self.mu + s2 - math.log(c)) / self.sigma)
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,7 @@ class Uniform(PriceModel):
             raise ValueError(f"lo must be >= 0, got {self.lo}")
         if not self.hi > self.lo:
             raise ValueError(f"hi must be > lo, got hi={self.hi}, lo={self.lo}")
+        self._check_draws()
 
     def _sf(self, x):
         return np.clip((self.hi - x) / (self.hi - self.lo), 0.0, 1.0)
@@ -223,13 +231,10 @@ class Uniform(PriceModel):
     def _ppf(self, u):
         return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=float)
 
-    def tail_mean(self, c):
+    def tail_moment(self, c, power):
         c = min(max(c, self.lo), self.hi)
-        return (self.hi ** 2 - c ** 2) / (2.0 * (self.hi - self.lo))
-
-    def tail_moment2(self, c):
-        c = min(max(c, self.lo), self.hi)
-        return (self.hi ** 3 - c ** 3) / (3.0 * (self.hi - self.lo))
+        k = power + 1
+        return (self.hi ** k - c ** k) / (k * (self.hi - self.lo))
 
 
 @dataclass(frozen=True)
@@ -249,6 +254,7 @@ class Pareto(PriceModel):
             raise ValueError(f"xmin must be > 0, got {self.xmin}")
         if not self.alpha > 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
+        self._check_draws()
 
     def _sf(self, x):
         return (self.xmin / np.maximum(x, self.xmin)) ** (self.alpha - 1.0)
@@ -256,21 +262,14 @@ class Pareto(PriceModel):
     def _isf(self, q):
         return self.xmin * q ** (-1.0 / (self.alpha - 1.0))
 
-    def tail_mean(self, c):
-        if self.alpha <= 2:
+    def tail_moment(self, c, power):
+        if self.alpha <= power + 1:
             raise InfiniteMomentError(
-                f"Pareto mean is infinite for alpha <= 2 (alpha={self.alpha})")
+                f"Pareto moment {power} is infinite for alpha <= {power + 1} "
+                f"(alpha={self.alpha})")
         c = max(c, self.xmin)
-        a = self.alpha
-        return (a - 1.0) / (a - 2.0) * self.xmin ** (a - 1.0) * c ** (2.0 - a)
-
-    def tail_moment2(self, c):
-        if self.alpha <= 3:
-            raise InfiniteMomentError(
-                f"Pareto second moment is infinite for alpha <= 3 (alpha={self.alpha})")
-        c = max(c, self.xmin)
-        a = self.alpha
-        return (a - 1.0) / (a - 3.0) * self.xmin ** (a - 1.0) * c ** (3.0 - a)
+        a, k = self.alpha, power + 1.0
+        return (a - 1.0) / (a - k) * self.xmin ** (a - 1.0) * c ** (k - a)
 
 
 @dataclass(frozen=True)
@@ -297,6 +296,7 @@ class Truncated(PriceModel):
             raise ValueError(
                 f"base_price={self.base_price} leaves too little probability "
                 "mass above it for double-precision draws")
+        self._check_draws()
 
     def _mass(self) -> float:
         return float(self.inner._sf(self.base_price))
@@ -308,11 +308,8 @@ class Truncated(PriceModel):
         # the clamp absorbs the inner inverse landing an ulp below the base
         return np.maximum(self.inner._isf(q * self._mass()), self.base_price)
 
-    def tail_mean(self, c):
-        return self.inner.tail_mean(max(c, self.base_price)) / self._mass()
-
-    def tail_moment2(self, c):
-        return self.inner.tail_moment2(max(c, self.base_price)) / self._mass()
+    def tail_moment(self, c, power):
+        return self.inner.tail_moment(max(c, self.base_price), power) / self._mass()
 
     def spec_string(self):
         return (f"truncated:base={_spec_number(self.base_price)},"
@@ -359,8 +356,7 @@ def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
     Integrates quantile(u)^power du on [cdf(c), 1): the substitution
     u = F(x) turns a heavy tail in x into an endpoint singularity in u that
     adaptive Gauss-Kronrod handles well. Serves as an independent
-    cross-check of the closed forms, and as the fallback for models
-    without one.
+    cross-check of each law's closed form `tail_moment(c, power)`.
     """
     u0 = float(model.cdf(c))
     if u0 >= 1.0:

@@ -147,8 +147,7 @@ def test_survival_function_constant_durations():
 
 def test_survival_function_log_grid():
     durations = np.arange(1, 2001)
-    k, p = survival_function(durations, grid="log", k_min=1, k_max=1000,
-                             n_points=30)
+    k, p = survival_function(durations, grid="log", k_min=1, k_max=1000)
     assert len(k) == len(np.unique(k))
     assert (p > 0).all()
     assert (np.diff(p) <= 0).all()
@@ -183,6 +182,15 @@ def sample_discrete_power_law(alpha, n, s_max, seed):
     cdf = np.cumsum(pmf) / pmf.sum()
     u = SeedSpec(seed).generator().random(n)
     return 1 + np.searchsorted(cdf, u, side="left")
+
+
+@pytest.mark.parametrize("k_min, k_max", [(0, 15), (-1, 15), (5, 5), (6, 5)])
+def test_fit_refuses_a_k_range_outside_one_to_k_max(k_min, k_max):
+    # a grid="all" survival starts at k = 0, whose log is -inf
+    survival = survival_function(np.tile(np.arange(1, 16), 3))
+    with pytest.raises(ValueError, match=r"need 1 <= k_min < k_max"):
+        fit_power_tail(survival, k_min, k_max)
+    assert fit_power_tail(survival, 1, 15).slope == -1.0
 
 
 def test_fit_matches_discrete_power_law_oracle():

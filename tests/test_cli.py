@@ -301,6 +301,28 @@ def test_theory_out_of_range_is_config_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["theory", "simulate"])
+@pytest.mark.parametrize("spec", ["exponential:rate=1e-310",
+                                  "lognormal:mu=800,sigma=1",
+                                  "pareto:xmin=1e300,alpha=1.001"])
+def test_law_past_the_doubles_is_config_error(tmp_path, capsys, command, spec):
+    out = tmp_path / "out"
+    assert main([command, "--model", spec, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {spec.partition(':')[0]}: draws leave")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_avalanches_k_range_below_one_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["avalanches", "--model", "uniform:lo=0,hi=1", "--n", "1000",
+               "--kmin", "0", "--kmax", "50", "--out", str(out)])
+    assert rc == 2
+    assert "need 1 <= k_min < k_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
     def no_memory(model, seed, n):
         raise MemoryError(f"Unable to allocate {8 * n} bytes")

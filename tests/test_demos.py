@@ -1,7 +1,8 @@
 """Smoke test: the narrative demos run to completion against the package.
 
 Each demo runs as its own process, so a public name removed from the package
-fails here instead of only when someone next runs the demo.
+fails here instead of only when someone next runs the demo. Warnings are
+errors there, as in the rest of the suite.
 """
 
 import os
@@ -22,6 +23,6 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from soc_auction import (E_INV, Exponential, InfiniteMomentError, LogNormal,
                          ModelSpecError, Pareto, SeedSpec, Truncated, Uniform,
@@ -123,37 +126,37 @@ def test_truncated_small_quantiles_at_least_base(inner):
 def test_lognormal_tail_mean_reference_value():
     m = LogNormal(0, 0.3)
     xc = critical_price(m, E_INV)
-    assert m.tail_mean(xc) == pytest.approx(0.7720651, abs=1e-5)
+    assert m.tail_moment(xc, 1) == pytest.approx(0.7720651, abs=1e-5)
 
 
 def test_exponential_tail_mean_closed_form():
     m = Exponential(1.0)
     xc = -math.log(1.0 - E_INV)
     expected = (xc + 1.0) * math.exp(-xc)
-    assert m.tail_mean(xc) == pytest.approx(expected, rel=1e-12)
+    assert m.tail_moment(xc, 1) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.9220585, abs=1e-6)
-    assert m.tail_mean(xc) == pytest.approx(tail_moment_quad(m, xc, 1), rel=1e-9)
+    assert m.tail_moment(xc, 1) == pytest.approx(tail_moment_quad(m, xc, 1), rel=1e-9)
 
 
 def test_uniform_tail_moments_elementary():
     m = Uniform(0, 1)
     c = E_INV
-    assert m.tail_mean(c) == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
-    assert m.tail_mean(c) == pytest.approx(0.4323324, abs=1e-7)
-    assert m.tail_moment2(c) == pytest.approx((1 - math.exp(-3)) / 3, rel=1e-12)
-    assert m.tail_moment2(c) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
+    assert m.tail_moment(c, 1) == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
+    assert m.tail_moment(c, 1) == pytest.approx(0.4323324, abs=1e-7)
+    assert m.tail_moment(c, 2) == pytest.approx((1 - math.exp(-3)) / 3, rel=1e-12)
+    assert m.tail_moment(c, 2) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
 def test_tail_mean_at_zero_is_mean(model):
-    assert model.tail_mean(0.0) == pytest.approx(
+    assert model.tail_moment(0.0, 1) == pytest.approx(
         tail_moment_quad(model, 0.0, 1), rel=1e-9)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
 def test_tail_mean_non_increasing(model):
     cs = np.linspace(quantile(model, 0.0), quantile(model, 0.99), 25)
-    vals = [model.tail_mean(float(c)) for c in cs]
+    vals = [model.tail_moment(float(c), 1) for c in cs]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -173,20 +176,112 @@ def test_closed_forms_match_quadrature_on_random_parameters():
         else:
             m = Truncated(float(rng.uniform(0.5, 1.5)), Exponential(float(rng.uniform(0.3, 2))))
         c = float(quantile(m, float(rng.uniform(0.05, 0.9))))
-        assert m.tail_mean(c) == pytest.approx(tail_moment_quad(m, c, 1), rel=1e-9)
-        assert m.tail_moment2(c) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
+        for power in (1, 2):
+            assert m.tail_moment(c, power) == pytest.approx(
+                tail_moment_quad(m, c, power), rel=1e-9)
         checked += 1
+
+
+def two_method_closed_form(m, c, power):
+    """Reference: the truncated moments as separate first- and second-moment
+    formulas per family, operation for operation."""
+    if isinstance(m, Truncated):
+        return two_method_closed_form(m.inner, max(c, m.base_price), power) / m._mass()
+    if isinstance(m, Exponential):
+        c, lam = max(c, 0.0), m.rate
+        if power == 1:
+            return (c + 1.0 / lam) * math.exp(-lam * c)
+        return (c * c + 2.0 * c / lam + 2.0 / lam ** 2) * math.exp(-lam * c)
+    if isinstance(m, LogNormal):
+        if power == 1:
+            mom, shift = math.exp(m.mu + 0.5 * m.sigma ** 2), m.sigma ** 2
+        else:
+            mom, shift = math.exp(2.0 * m.mu + 2.0 * m.sigma ** 2), 2.0 * m.sigma ** 2
+        if c <= 0:
+            return mom
+        return mom * ndtr((m.mu + shift - math.log(c)) / m.sigma)
+    if isinstance(m, Uniform):
+        c = min(max(c, m.lo), m.hi)
+        if power == 1:
+            return (m.hi ** 2 - c ** 2) / (2.0 * (m.hi - m.lo))
+        return (m.hi ** 3 - c ** 3) / (3.0 * (m.hi - m.lo))
+    a = m.alpha
+    if a <= power + 1:
+        raise InfiniteMomentError
+    c = max(c, m.xmin)
+    if power == 1:
+        return (a - 1.0) / (a - 2.0) * m.xmin ** (a - 1.0) * c ** (2.0 - a)
+    return (a - 1.0) / (a - 3.0) * m.xmin ** (a - 1.0) * c ** (3.0 - a)
+
+
+def outcome(f, *args):
+    """The exact bits of f(*args), or the type of the error it raised."""
+    try:
+        return float.hex(f(*args))
+    except (ArithmeticError, InfiniteMomentError) as e:
+        return type(e).__name__
+
+
+_pos = dict(allow_nan=False, allow_infinity=False)
+_laws = st.one_of(
+    st.builds(Exponential, st.floats(1e-300, 1e300, **_pos)),
+    st.builds(LogNormal, st.floats(-50, 50, **_pos), st.floats(1e-3, 5, **_pos)),
+    st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(0, 100, **_pos),
+              st.floats(1e-3, 100, **_pos)),
+    st.builds(Pareto, st.floats(1e-2, 1e2, **_pos), st.floats(1.1, 10, **_pos)),
+)
+_truncated = st.builds(Truncated, st.floats(1e-2, 5, **_pos),
+                       st.one_of(st.builds(Exponential, st.floats(0.1, 5)),
+                                 st.builds(LogNormal, st.floats(-1, 1),
+                                           st.floats(0.1, 1.5))))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(m=st.one_of(_laws, _truncated),
+       c=st.one_of(st.just(0.0), st.floats(-10, 1e3, **_pos)),
+       power=st.sampled_from([1, 2]))
+@example(m=Exponential(1.0), c=E_INV, power=2)
+@example(m=Exponential(1.0), c=10.142426998871324, power=2)  # c ** 2 != c * c
+@example(m=Uniform(2.0, 3.0), c=1.0, power=2)       # below the support
+@example(m=Pareto(2.0, 3.5), c=0.5, power=2)        # below the support
+@example(m=LogNormal(0.0, 0.3), c=-1.0, power=1)    # below the support
+@example(m=Pareto(1.0, 2.5), c=2.0, power=2)        # diverges
+@example(m=Exponential(1e-300), c=1.0, power=2)     # 2 / lam^2 underflows
+@example(m=Exponential(1e300), c=1.0, power=2)      # lam^2 overflows
+def test_tail_moment_is_bit_identical_to_two_method_closed_forms(m, c, power):
+    assert outcome(m.tail_moment, c, power) == outcome(
+        two_method_closed_form, m, c, power)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_pareto_moment_diverges_through_alpha_power_plus_one(power):
+    with pytest.raises(InfiniteMomentError):
+        Pareto(1.0, power + 1.0).tail_moment(2.0, power)
+    just_above = math.nextafter(power + 1.0, math.inf)
+    assert math.isfinite(Pareto(1.0, just_above).tail_moment(2.0, power))
 
 
 def test_pareto_infinite_moments():
     with pytest.raises(InfiniteMomentError):
-        Pareto(1.0, 1.5).tail_mean(2.0)
+        Pareto(1.0, 1.5).tail_moment(2.0, 1)
     with pytest.raises(InfiniteMomentError):
-        Pareto(1.0, 2.5).tail_moment2(2.0)
+        Pareto(1.0, 2.5).tail_moment(2.0, 2)
     # a finite-mean heavy tail still integrates
-    assert Pareto(1.0, 2.5).tail_mean(2.0) > 0
+    assert Pareto(1.0, 2.5).tail_moment(2.0, 1) > 0
     with pytest.raises(InfiniteMomentError):
-        Truncated(2.0, Pareto(1.0, 1.5)).tail_mean(0.0)
+        Truncated(2.0, Pareto(1.0, 1.5)).tail_moment(0.0, 1)
+
+
+@pytest.mark.parametrize("spec", [
+    "exponential:rate=1e-310", "lognormal:mu=800,sigma=1",
+    "pareto:xmin=1e300,alpha=1.001", "uniform:lo=0,hi=inf",
+    "truncated:base=1e250,inner=pareto:xmin=1,alpha=1.2",
+    "exponential:rate=1e308",  # the smallest draws round to 0
+])
+def test_law_whose_draws_leave_the_doubles_is_refused(spec):
+    # a quantile at 2^-53 or 1 - 2^-53 overflows to inf or underflows to 0
+    with pytest.raises(ModelSpecError, match="finite positive doubles"):
+        parse_model(spec)
 
 
 def test_pareto_density_exponent_convention():
@@ -194,7 +289,7 @@ def test_pareto_density_exponent_convention():
     m = Pareto(1.0, 2.5)
     x = 10.0
     assert 1.0 - m.cdf(x) == pytest.approx(x ** -1.5, rel=1e-12)
-    assert m.tail_mean(0.0) == pytest.approx(1.5 / 0.5, rel=1e-12)
+    assert m.tail_moment(0.0, 1) == pytest.approx(1.5 / 0.5, rel=1e-12)
 
 
 # =====================================================================
@@ -257,8 +352,8 @@ def test_truncation_far_in_the_tail_keeps_exact_quantiles():
 
 def test_truncated_exponential_far_tail_is_memoryless():
     t = Truncated(40.0, Exponential(1.0))
-    assert t.tail_mean(0.0) == pytest.approx(41.0, rel=1e-12)
-    assert t.tail_moment2(0.0) == pytest.approx(40.0 ** 2 + 2 * 40.0 + 2, rel=1e-12)
+    assert t.tail_moment(0.0, 1) == pytest.approx(41.0, rel=1e-12)
+    assert t.tail_moment(0.0, 2) == pytest.approx(40.0 ** 2 + 2 * 40.0 + 2, rel=1e-12)
 
 
 def test_lognormal_sample_mean_against_closed_form():
