@@ -33,7 +33,7 @@ def main():
 
     print("with a base price (same bidder population, low offers excluded):")
     for base in (0.5, 1.0, 2.0):
-        model = Truncated(base_price=base, inner=inner)
+        model = Truncated(base=base, inner=inner)
         per_bid = income_per_bid(model, Rule.CLASSIC, int(base * 10))
         ts = theory_summary(model)
         print(f"  base {base:>4}: x_c {ts.xc:.4f}, income per bid "

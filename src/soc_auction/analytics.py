@@ -59,7 +59,8 @@ def theory_summary(model: PriceModel, pc: float = E_INV,
 
     Heavy-tailed models with infinite mean (or variance) yield a partial
     summary with explicit flags instead of numbers. A b that is not finite
-    and >= 0, or a value past the range of a double, is a ValueError.
+    and >= 0, a value past the range of a double, or a var_Y that is not
+    > 0 is a ValueError.
     """
     if not 0 <= b < math.inf:
         raise ValueError(f"b must be finite and >= 0, got {b}")
@@ -78,6 +79,9 @@ def theory_summary(model: PriceModel, pc: float = E_INV,
     if not all(math.isfinite(v) for v in (xc, ti_per_bid, mean_y, var_y, af)
                if v is not None):
         raise ValueError(f"{model.spec_string()}: past the range of a double")
+    if var_y is not None and not var_y > 0:
+        raise ValueError(f"{model.spec_string()}: var_Y = {var_y!r} is not > 0; "
+                         "E[Y^2] - E[Y]^2 is lost to rounding")
     return TheorySummary(pc=pc, xc=xc, expected_sales_fraction=accepted,
                          b_constant=b, expected_ti_per_bid=ti_per_bid,
                          mean_Y=mean_y, var_Y=var_y, af_approx=af,

@@ -124,10 +124,8 @@ def _run(model: PriceModel | None, rule: Rule | str, n: int, seed: int,
     stream 0 of the master `seed`. `ntilde` is built only with `trajectory`."""
     if prices_file is not None:
         prices = _load_prices_file(prices_file)
-    elif model is not None:
-        prices = sample(model, SeedSpec(seed, 0), n)
     else:
-        raise ModelSpecError("either --model or --prices-file is required")
+        prices = sample(model, SeedSpec(seed, 0), n)
     return run_sequence(rule, prices, collect_trajectory=trajectory), prices
 
 
@@ -194,8 +192,6 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_theory(ns) -> int:
-    if ns.model is None:
-        raise ModelSpecError("--model is required")
     model = parse_model(ns.model)
     summary = analytics.theory_summary(model, pc=ns.pc, b=ns.b)
     payload = {"model": model.spec_string(), **dataclasses.asdict(summary)}
@@ -325,9 +321,12 @@ def cmd_fig2(ns) -> int:
 # Parser
 # =====================================================================
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="price model spec, e.g. lognormal:mu=0,sigma=0.3 "
-                   "or truncated:base=1.2,inner=<spec> for a posted base price")
+def _add_model_flags(p: argparse.ArgumentParser, source) -> None:
+    """--model on `source`: `p` itself, where it is required, or a group of
+    exclusive price sources; and --pc on `p`."""
+    source.add_argument("--model", required=source is p,
+                        help="price model spec, e.g. lognormal:mu=0,sigma=0.3 "
+                        "or truncated:base=1.2,inner=<spec> for a posted base price")
     p.add_argument("--pc", type=float, default=E_INV,
                    help="never-accepted fraction for the critical price (default 1/e)")
 
@@ -344,12 +343,12 @@ def _bid_count(text: str) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser, n: int) -> None:
-    _add_model_flags(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    _add_model_flags(p, source)
+    source.add_argument("--prices-file", help="one price per line, in place of --model")
     p.add_argument("--rule", choices=[r.value for r in Rule], default="classic")
     p.add_argument("--n", type=_bid_count, default=n,
                    help=f"number of bids, e.g. 1000 or 1e5 (default {n})")
-    p.add_argument("--prices-file", default=None,
-                   help="one price per line; overrides --model")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", default="csv,json",
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("theory", help="theoretical summary for a price model")
-    _add_model_flags(p)
+    _add_model_flags(p, p)
     p.add_argument("--b", type=float, default=analytics.B_DEFAULT,
                    help="accepted-count variance constant")
     p.add_argument("--out", default=None, help="also write theory.json here")

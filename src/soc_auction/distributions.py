@@ -45,6 +45,11 @@ class SeedSpec:
     master_seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if min(self.master_seed, self.stream_id) < 0:
+            raise ValueError(f"seeds must be >= 0, got master_seed={self.master_seed}, "
+                             f"stream_id={self.stream_id}")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.master_seed,
                                     spawn_key=(self.stream_id,))
@@ -104,7 +109,8 @@ class PriceModel:
     base price truncates; the cdf is exact to absolute rounding only.
 
     A family's spec is its lower-case class name and its fields in order,
-    e.g. ``lognormal:mu=0,sigma=0.3``; `parse_model` reads it back.
+    e.g. ``lognormal:mu=0,sigma=0.3``, with a law-valued field written as
+    that law's own spec; `parse_model` reads it back.
     """
 
     def _sf(self, x):
@@ -135,7 +141,7 @@ class PriceModel:
                              f"quantile(2^-53) = {lo!r}, quantile(1 - 2^-53) = {hi!r}")
 
     def spec_string(self) -> str:
-        body = ",".join(f"{f.name}={_spec_number(getattr(self, f.name))}"
+        body = ",".join(f"{f.name}={_spec_value(getattr(self, f.name))}"
                         for f in fields(self))
         return f"{type(self).__name__.lower()}:{body}"
 
@@ -146,8 +152,11 @@ def _scalarize(x, val):
     return val
 
 
-def _spec_number(v: float) -> str:
-    """Short ``:g`` form when it reads back exactly, else the full repr."""
+def _spec_value(v) -> str:
+    """A law as its own spec; a number in its short ``:g`` form when that
+    reads back exactly, else its full repr."""
+    if isinstance(v, PriceModel):
+        return v.spec_string()
     short = f"{v:g}"
     return short if float(short) == v else repr(float(v))
 
@@ -277,16 +286,16 @@ class Truncated(PriceModel):
     """Lower truncation of another law at a base price.
 
     Models a posted base price: bids below it cannot be offered, so the
-    inner law is renormalized on [base_price, inf) by its survival mass
+    inner law is renormalized on [base, inf) by its survival mass
     there. Working on the survival side keeps far-tail bases exact.
     """
 
-    base_price: float
+    base: float
     inner: PriceModel
 
     def __post_init__(self):
-        if not self.base_price > 0:
-            raise ValueError(f"base_price must be > 0, got {self.base_price}")
+        if not self.base > 0:
+            raise ValueError(f"base must be > 0, got {self.base}")
         # _isf hands the innermost law q times every enclosing mass; at the
         # smallest q a draw can have, that product must stay a normal double
         q, law = _U_FLOOR, self
@@ -294,26 +303,22 @@ class Truncated(PriceModel):
             q, law = q * law._mass(), law.inner
         if not q >= np.finfo(float).tiny:
             raise ValueError(
-                f"base_price={self.base_price} leaves too little probability "
+                f"base={self.base} leaves too little probability "
                 "mass above it for double-precision draws")
         self._check_draws()
 
     def _mass(self) -> float:
-        return float(self.inner._sf(self.base_price))
+        return float(self.inner._sf(self.base))
 
     def _sf(self, x):
-        return self.inner._sf(np.maximum(x, self.base_price)) / self._mass()
+        return self.inner._sf(np.maximum(x, self.base)) / self._mass()
 
     def _isf(self, q):
         # the clamp absorbs the inner inverse landing an ulp below the base
-        return np.maximum(self.inner._isf(q * self._mass()), self.base_price)
+        return np.maximum(self.inner._isf(q * self._mass()), self.base)
 
     def tail_moment(self, c, power):
-        return self.inner.tail_moment(max(c, self.base_price), power) / self._mass()
-
-    def spec_string(self):
-        return (f"truncated:base={_spec_number(self.base_price)},"
-                f"inner={self.inner.spec_string()}")
+        return self.inner.tail_moment(max(c, self.base), power) / self._mass()
 
 
 # =====================================================================
@@ -381,53 +386,41 @@ def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
 # Textual model specifiers
 # =====================================================================
 
-_FAMILIES = {
-    cls.__name__.lower(): (cls, tuple(f.name for f in fields(cls)))
-    for cls in (Exponential, LogNormal, Uniform, Pareto)
-}
+_FAMILIES = {cls.__name__.lower(): cls
+             for cls in (Exponential, LogNormal, Uniform, Pareto, Truncated)}
 
 
 def parse_model(text: str) -> PriceModel:
     """Parse specifiers like ``lognormal:mu=0,sigma=0.3`` or
     ``truncated:base=1.0,inner=exponential:rate=1``.
 
-    For ``truncated`` the ``inner=`` field must come last; it consumes the
-    rest of the string, so inner specs can nest.
+    A law-valued field (``inner=``) must come last; it consumes the rest of
+    the string, so specs can nest.
     """
-    text = text.strip()
-    family, _, rest = text.partition(":")
+    family, _, rest = text.strip().partition(":")
     family = family.strip().lower()
-
-    if family == "truncated":
-        idx = rest.find("inner=")
-        if idx < 0:
-            raise ModelSpecError("truncated: missing field 'inner'")
-        head = rest[:idx].rstrip(", ")
-        inner = parse_model(rest[idx + len("inner="):])
-        fields = _parse_fields("truncated", head, ("base",))
-        if "base" not in fields:
-            raise ModelSpecError("truncated: missing field 'base'")
-        try:
-            return Truncated(base_price=fields["base"], inner=inner)
-        except ValueError as e:
-            raise ModelSpecError(f"truncated: {e}") from e
-
     if family not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES) + ["truncated"])
+        known = ", ".join(sorted(_FAMILIES))
         raise ModelSpecError(f"unknown model family '{family}' (expected one of: {known})")
 
-    cls, names = _FAMILIES[family]
-    fields = _parse_fields(family, rest, names)
-    missing = [k for k in names if k not in fields]
+    cls = _FAMILIES[family]
+    names = [f.name for f in fields(cls)]
+    values = {}
+    if "inner" in names:
+        rest, sep, inner = rest.partition("inner=")
+        if sep:
+            values["inner"] = parse_model(inner)
+    values.update(_parse_fields(family, rest, [k for k in names if k != "inner"]))
+    missing = [k for k in names if k not in values]
     if missing:
         raise ModelSpecError(f"{family}: missing field '{missing[0]}'")
     try:
-        return cls(**fields)
+        return cls(**values)
     except ValueError as e:
         raise ModelSpecError(f"{family}: {e}") from e
 
 
-def _parse_fields(family: str, text: str, allowed: tuple[str, ...]) -> dict[str, float]:
+def _parse_fields(family: str, text: str, allowed: list[str]) -> dict[str, float]:
     fields: dict[str, float] = {}
     for part in filter(None, (p.strip() for p in text.split(","))):
         key, sep, value = part.partition("=")

@@ -3,6 +3,7 @@ and the robust tail fit against synthetic power-law oracles."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from soc_auction import (E_INV, Exponential, InsufficientDataError, LogNormal,
                          Pareto, Rule, SeedSpec, Uniform, analytics,
                          empirical_critical_price,
                          empirical_distribution_checks, fit_power_tail,
-                         ks_critical_value, ks_statistic, run_sequence,
+                         ks_critical_value, ks_statistic, parse_model, run_sequence,
                          sample, segment_avalanches, survival_function,
                          theory_summary)
 
@@ -71,6 +72,20 @@ def test_theory_summary_domain():
     for model in (LogNormal(0, 30), LogNormal(500, 1), Exponential(1e-300)):
         with pytest.raises(ValueError, match="past the range of a double"):
             theory_summary(model)
+
+
+# E[Y^2] - E[Y]^2 cancels to noise: the variance comes out < 0, or 0 from
+# an E[Y^2] that underflowed
+NONPOSITIVE_VARIANCE_SPECS = ["uniform:lo=0,hi=1e-160", "lognormal:mu=-700,sigma=1",
+                              "uniform:lo=1e9,hi=1000000001"]
+
+
+@pytest.mark.parametrize("spec", NONPOSITIVE_VARIANCE_SPECS)
+def test_theory_summary_refuses_a_variance_not_above_zero(spec):
+    model = parse_model(spec)
+    with pytest.raises(ValueError, match=rf"^{re.escape(model.spec_string())}: "
+                       r"var_Y = \S+ is not > 0"):
+        theory_summary(model)
 
 
 def test_empirical_critical_price():

@@ -225,10 +225,44 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
 
 
 def test_missing_model_and_prices_is_config_error(tmp_path, capsys):
-    rc = main(["simulate", "--n", "10", "--out", str(tmp_path)])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "10", "--out", str(tmp_path)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--model" in err and "--prices-file" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "avalanches"])
+def test_model_and_prices_file_together_is_a_usage_error(tmp_path, capsys, command):
+    # a run takes its prices from one source: the file or draws of the model
+    pf = tmp_path / "prices.txt"
+    pf.write_text(WORKED)
+    out = tmp_path / "out"
+    rc = exit_code([command, "--prices-file", str(pf), "--model",
+                    "lognormal:mu=0,sigma=0.3", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_theory_without_model_is_a_usage_error(capsys):
+    assert exit_code(["theory"]) == 2
+    assert "--model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "uniform:lo=0,hi=1", "--n", "10"],
+    ["avalanches", "--model", "lognormal:mu=0,sigma=0.3", "--n", "1000"],
+    ["replicate", "fig1a"],
+])
+def test_negative_seed_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main([*argv, "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "master_seed=-1" in err and "seeds must be >= 0" in err
+    assert not out.exists()
 
 
 def test_bad_prices_file_is_config_error(tmp_path, capsys):
@@ -292,6 +326,9 @@ def test_theory_out_writes_the_bytes_it_prints(tmp_path, capsys):
     ["--model", "lognormal:mu=0,sigma=30"],
     ["--model", "lognormal:mu=500,sigma=1"],
     ["--model", "exponential:rate=1e-300"],
+    ["--model", "uniform:lo=0,hi=1e-160"],        # var_Y < 0 from cancellation
+    ["--model", "lognormal:mu=-700,sigma=1"],     # var_Y = 0: E[Y^2] underflows
+    ["--model", "uniform:lo=1e9,hi=1000000001"],  # var_Y < 0 from cancellation
 ])
 def test_theory_out_of_range_is_config_error(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -529,10 +566,11 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert _dests(figures["fig1a"]) == _dests(figures["fig2"]) == {"seed", "out"}
     assert _dests(figures["fig1b"]) == {"seed", "out", "replicas", "threads"}
     # the shared flags keep each command's own defaults
-    assert commands["simulate"].parse_args([]).n == 1000
-    assert commands["simulate"].parse_args([]).seed == 0
-    assert commands["avalanches"].parse_args([]).n == 2_000_000
-    assert commands["theory"].parse_args([]).out is None
+    source = ["--model", "exponential:rate=1"]
+    assert commands["simulate"].parse_args(source).n == 1000
+    assert commands["simulate"].parse_args(source).seed == 0
+    assert commands["avalanches"].parse_args(source).n == 2_000_000
+    assert commands["theory"].parse_args(source).out is None
 
 
 def _readme_commands():

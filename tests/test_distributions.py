@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -186,7 +186,7 @@ def two_method_closed_form(m, c, power):
     """Reference: the truncated moments as separate first- and second-moment
     formulas per family, operation for operation."""
     if isinstance(m, Truncated):
-        return two_method_closed_form(m.inner, max(c, m.base_price), power) / m._mass()
+        return two_method_closed_form(m.inner, max(c, m.base), power) / m._mass()
     if isinstance(m, Exponential):
         c, lam = max(c, 0.0), m.rate
         if power == 1:
@@ -312,6 +312,13 @@ def test_uniform_stream_matches_sample_transform():
     assert np.allclose(drawn, quantile(m, u), rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("seed", [(-1, 0), (0, -1)])
+def test_negative_seed_is_refused_at_construction(seed):
+    with pytest.raises(ValueError, match="seeds must be >= 0, got "
+                       f"master_seed={seed[0]}, stream_id={seed[1]}"):
+        SeedSpec(*seed)
+
+
 def test_sample_support_and_positivity():
     xs = sample(Uniform(0, 1), SeedSpec(1, 0), 3)
     assert ((xs > 0) & (xs < 1)).all()
@@ -390,7 +397,7 @@ def test_constructor_validation():
         Pareto(1.0, 1.0)
     with pytest.raises(ValueError, match="xmin"):
         Pareto(0.0, 2.5)
-    with pytest.raises(ValueError, match="base_price"):
+    with pytest.raises(ValueError, match="base"):
         Truncated(0.0, Exponential(1.0))
     with pytest.raises(ValueError, match="mass"):
         Truncated(2.0, Uniform(0.0, 1.0))
@@ -416,8 +423,39 @@ def test_spec_string_round_trip(model):
     assert parse_model(model.spec_string()) == model
 
 
+# short values read back from their ``:g`` form, the rest need a full repr
+_spec_numbers = st.one_of(st.integers(-3, 3).map(lambda k: 10.0 ** k),
+                          st.floats(0.01, 10, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _spec_laws(draw, depth=0):
+    """Any family, truncations nested up to depth 3; laws a constructor
+    refuses are skipped."""
+    families = [Exponential, LogNormal, Uniform, Pareto] + [Truncated] * (depth < 3)
+    cls = draw(st.sampled_from(families))
+    if cls is Truncated:
+        args = (draw(_spec_numbers), draw(_spec_laws(depth + 1)))
+    else:
+        args = [draw(_spec_numbers) for _ in range(2 - (cls is Exponential))]
+    try:
+        return cls(*args)
+    except ValueError:
+        assume(False)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(m=_spec_laws())
+@example(m=Truncated(0.1 + 0.2, Truncated(1e-3, Truncated(2.0, LogNormal(-1 / 3, 0.3)))))
+def test_spec_string_and_parse_model_are_inverse(m):
+    s = m.spec_string()
+    assert parse_model(s) == m
+    assert parse_model(s).spec_string() == s
+
+
 def test_parse_model_errors_name_the_field():
-    with pytest.raises(ModelSpecError, match="weibull"):
+    with pytest.raises(ModelSpecError, match="'weibull' .expected one of: exponential, "
+                       "lognormal, pareto, truncated, uniform.$"):
         parse_model("weibull:k=2")
     with pytest.raises(ModelSpecError, match="sigma"):
         parse_model("lognormal:mu=0")
