@@ -32,8 +32,7 @@ def main():
 
     ks, ps = survival_function(av.durations, grid="log", k_min=K_MIN,
                                k_max=K_MAX)
-    fit = fit_power_tail((ks, ps), K_MIN, K_MAX, durations=av.durations,
-                         n_bootstrap=150, seed=1)
+    fit = fit_power_tail(av.durations, K_MIN, K_MAX, n_bootstrap=150, seed=1)
     print(f"survival P(tau > k), log-spaced grid on [{K_MIN}, {K_MAX}]:")
     for k, p in zip(ks[::6], ps[::6]):
         bar = "#" * max(1, int(60 * p / ps[0]))

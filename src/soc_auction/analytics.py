@@ -223,42 +223,55 @@ def segment_avalanches(sales, xc: float) -> AvalancheSet:
 _LOG_GRID_POINTS = 60
 
 
-def _check_k_range(k_min, k_max) -> None:
+def _log_grid(k_min, k_max) -> np.ndarray:
+    """_LOG_GRID_POINTS log-spaced integers in [k_min, k_max], deduplicated,
+    in increasing order; a rounded point past a bound is left out. A range
+    other than 1 <= k_min < k_max is a ValueError."""
     if not 1 <= k_min < k_max:
         raise ValueError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
+    ks = np.unique(np.round(np.logspace(math.log10(k_min), math.log10(k_max),
+                                        _LOG_GRID_POINTS)).astype(np.int64))
+    return ks[(ks >= k_min) & (ks <= k_max)]
 
 
-def _log_grid(k_min, k_max) -> np.ndarray:
-    """_LOG_GRID_POINTS log-spaced integers in [k_min, k_max], deduplicated."""
-    _check_k_range(k_min, k_max)
-    return np.unique(np.round(np.logspace(math.log10(k_min), math.log10(k_max),
-                                          _LOG_GRID_POINTS)).astype(np.int64))
-
-
-def survival_function(durations, *, grid: str = "all", k_min: int = 1,
-                      k_max: Optional[int] = None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical survival P(tau > k).
-
-    grid="all": every integer k from 0 to max(durations).
-    grid="log": log-spaced integers in [k_min, k_max], deduplicated, with
-    zero-survival points dropped (they have no log representation).
-    """
-    d = np.sort(np.asarray(durations, dtype=np.int64))
-    n = len(d)
-    if n == 0:
+def _survival(durations, ks=None) -> tuple[np.ndarray, np.ndarray]:
+    """`ks` and P(tau > k) = 1 - #{tau <= k} / n at each k of `ks`, or at
+    every k from 0 to the longest duration when `ks` is None. Durations must
+    be whole numbers >= 1; the first that is not is named in a ValueError."""
+    d = np.asarray(durations)
+    if d.size == 0:
         raise ValueError("empty durations")
-    if grid == "all":
+    bad = np.flatnonzero(~((d >= 1) & (np.floor(d) == d) & np.isfinite(d)))
+    if len(bad):
+        raise ValueError(f"durations must be whole numbers >= 1, got "
+                         f"{d[bad[0]]} at index {bad[0]}")
+    d = np.sort(d)
+    if ks is None:
         ks = np.arange(0, d[-1] + 1, dtype=np.int64)
-    elif grid == "log":
-        ks = _log_grid(k_min, int(d[-1]) if k_max is None else k_max)
-    else:
+    return ks, 1.0 - np.searchsorted(d, ks, side="right") / len(d)
+
+
+def survival_function(durations, *, grid: str = "all",
+                      k_min: Optional[float] = None,
+                      k_max: Optional[float] = None,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical survival P(tau > k) of whole-number durations >= 1.
+
+    grid="all": every integer k from 0 to max(durations); takes no k range.
+    grid="log": the log-spaced integers of [k_min, k_max] (both required),
+    deduplicated, with zero-survival points dropped (they have no log
+    representation).
+    """
+    if grid not in ("all", "log"):
         raise ValueError(f"grid must be 'all' or 'log', got {grid!r}")
-    p = 1.0 - np.searchsorted(d, ks, side="right") / n
-    if grid == "log":
-        keep = p > 0
-        ks, p = ks[keep], p[keep]
-    return ks, p
+    if (grid == "all" and (k_min, k_max) != (None, None)
+            or grid == "log" and None in (k_min, k_max)):
+        raise ValueError("grid='log' takes both k_min and k_max, grid='all' "
+                         f"neither; got grid={grid!r}, [{k_min}, {k_max}]")
+    if grid == "all":
+        return _survival(durations)
+    ks, p = _survival(durations, _log_grid(k_min, k_max))
+    return ks[p > 0], p[p > 0]
 
 
 @dataclass(frozen=True)
@@ -272,83 +285,66 @@ class TailFit:
     n_points: int
 
 
-def _median_slopes(logk: np.ndarray, logp: np.ndarray,
-                   valid: np.ndarray) -> np.ndarray:
-    """Median of the slopes (logp[j] - logp[i]) / (logk[j] - logk[i]) of each
-    row of `logp`, over the pairs of its `valid` points with distinct `logk`,
-    as np.median takes it; NaN for a row with no such pair."""
-    i, j = np.triu_indices(len(logk), 1)
-    dx = logk[j] - logk[i]
+def _median_slopes(ks: np.ndarray,
+                   p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of survivals `p` on the strictly increasing grid `ks`:
+    the median of the slopes (log p[j] - log p[i]) / (log k[j] - log k[i])
+    over the pairs of its points with p > 0, as np.median takes it (NaN for
+    a row with no such pair), and the number of those points."""
+    valid = p > 0
+    n = np.count_nonzero(valid, axis=1)
+    logk, logp = np.log(ks), np.log(np.where(valid, p, 1.0))
+    i, j = np.triu_indices(len(ks), 1)
     slopes = logp[:, j] - logp[:, i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes /= dx
-    # a pair left out is NaN, which sorts after every slope
-    slopes[~(valid[:, i] & valid[:, j]) | (dx == 0)] = np.nan
-    slopes.sort(axis=1)
+    slopes /= logk[j] - logk[i]
+    # a pair left out is NaN, which sorts after every slope; one more NaN
+    # column gives a row with no pair a value to read, even on a grid of < 2
+    slopes[~(valid[:, i] & valid[:, j])] = np.nan
+    slopes = np.sort(np.pad(slopes, ((0, 0), (0, 1)),
+                            constant_values=np.nan), axis=1)
     # the middle value, or the mean of the two middle values
-    pairs = len(dx) - np.count_nonzero(np.isnan(slopes), axis=1)
-    rows = np.arange(len(pairs))
+    pairs, rows = n * (n - 1) // 2, np.arange(len(p))
     hi, lo = slopes[rows, pairs // 2], slopes[rows, (pairs - 1) // 2]
-    return np.where(pairs % 2 == 1, hi, (lo + hi) / 2)
+    return np.where(pairs % 2 == 1, hi, (lo + hi) / 2), n
 
 
-def _bootstrap_slopes(d: np.ndarray, k_min, k_max, n_bootstrap: int,
+def _bootstrap_slopes(d: np.ndarray, ks: np.ndarray, n_bootstrap: int,
                       seed: int) -> np.ndarray:
-    """The tail-fit slope of the log-grid survival of each resample of `d`,
-    in draw order, leaving out resamples with < 3 positive points. Each
-    resample is cut down at once to its survival counts on the grid."""
-    if len(d) == 0:
-        return np.empty(0)
-    ks = _log_grid(k_min, k_max)
-    logk = np.log(ks)
-    boots = []
-    for rows in _resample_blocks(
-            {"d": d}, n_bootstrap, seed,
-            cut=lambda v: np.searchsorted(np.sort(v), ks, side="right")):
-        p = 1.0 - rows["d"] / len(d)
-        valid = (p > 0) & (ks >= k_min) & (ks <= k_max)
-        keep = np.count_nonzero(valid, axis=1) >= 3
-        valid = valid[keep]
-        logp = np.log(np.where(valid, p[keep], 1.0))
-        boots.append(_median_slopes(logk, logp, valid))
+    """The tail-fit slope on the grid `ks` of each resample of `d` that
+    `_resample_blocks` draws from `seed`, in draw order, leaving out
+    resamples with < 3 positive survival points. Each resample is cut down
+    at once to its survival row."""
+    boots = [np.empty(0)]
+    for rows in _resample_blocks({"d": d}, n_bootstrap, seed,
+                                 cut=lambda v: _survival(v, ks)[1]):
+        slopes, n = _median_slopes(ks, rows["d"])
+        boots.append(slopes[n >= 3])
     return np.concatenate(boots)
 
 
-def fit_power_tail(survival: tuple[np.ndarray, np.ndarray], k_min: int,
-                   k_max: int, *, durations=None, n_bootstrap: int = 250,
-                   seed: int = 0) -> TailFit:
-    """Slope of log P(tau > k) versus log k: the median of the slopes
-    between the survival points in [k_min, k_max], over every pair with
-    distinct k (`_median_slopes`), in any order of the points.
+def fit_power_tail(durations, k_min: float, k_max: float, *,
+                   n_bootstrap: int = 250, seed: int = 0) -> TailFit:
+    """Slope of log P(tau > k) versus log k over the points that
+    `survival_function(durations, grid="log", k_min=k_min, k_max=k_max)`
+    returns: the median of the slopes between every two of them
+    (`_median_slopes`). At least 10 points are needed.
 
     Scale-free and resistant to the finite-size drop at the far tail.
-    When the raw durations are supplied, stderr is the standard deviation
-    of the same slope over the `n_bootstrap` resamples of the durations
-    that `_resample_blocks` draws from `seed`, with the log-grid survival
-    recomputed per resample and resamples with < 3 positive points left
-    out; otherwise stderr is NaN. A range other than 1 <= k_min < k_max is
-    a ValueError.
+    stderr is the standard deviation of the same slope over the
+    `n_bootstrap` resamples of the durations, in their given order, that
+    `_resample_blocks` draws from `seed`, leaving out resamples with < 3
+    positive points; it is NaN when fewer than 2 are kept (always for
+    n_bootstrap = 0). A negative n_bootstrap
+    or a range other than 1 <= k_min < k_max is a ValueError.
     """
-    _check_k_range(k_min, k_max)
-    ks, p = survival
-    ks = np.asarray(ks)
-    p = np.asarray(p, dtype=float)
-    inside = (ks >= k_min) & (ks <= k_max) & (p > 0)
-    n_in = int(inside.sum())
-    if n_in < 10:
-        raise InsufficientDataError(
-            f"only {n_in} survival points in [{k_min}, {k_max}], need >= 10")
-    logk, logp = np.log(ks[inside]), np.log(p[None, inside])
-    slope = float(_median_slopes(logk, logp, np.ones_like(logp, bool))[0])
-    if math.isnan(slope):
-        raise InsufficientDataError("no distinct k pairs to form slopes")
-
-    stderr = math.nan
-    if durations is not None and n_bootstrap > 0:
-        boots = _bootstrap_slopes(np.asarray(durations, dtype=np.int64),
-                                  k_min, k_max, n_bootstrap, seed)
-        if len(boots) >= 2:
-            stderr = float(np.std(boots, ddof=1))
-
-    return TailFit(slope=slope, stderr=stderr, k_min=int(k_min),
-                   k_max=int(k_max), n_points=n_in)
+    if n_bootstrap < 0:
+        raise ValueError(f"n_bootstrap must be >= 0, got {n_bootstrap}")
+    d, ks = np.asarray(durations), _log_grid(k_min, k_max)
+    (slope,), (n_points,) = _median_slopes(ks, _survival(d, ks)[1][None])
+    if n_points < 10:
+        raise InsufficientDataError(f"only {n_points} survival points in "
+                                    f"[{k_min}, {k_max}], need >= 10")
+    boots = _bootstrap_slopes(d, ks, n_bootstrap, seed)
+    stderr = float(np.std(boots, ddof=1)) if len(boots) >= 2 else math.nan
+    return TailFit(slope=float(slope), stderr=stderr, k_min=int(k_min),
+                   k_max=int(k_max), n_points=int(n_points))

@@ -210,8 +210,8 @@ def _avalanche_fit(sale_prices: np.ndarray, xc: float, k_min: int, k_max: int,
             "no complete avalanches: run too short or threshold too extreme")
     survival = analytics.survival_function(
         avalanches.durations, grid="log", k_min=k_min, k_max=k_max)
-    fit = analytics.fit_power_tail(survival, k_min, k_max,
-                                   durations=avalanches.durations, seed=seed)
+    fit = analytics.fit_power_tail(avalanches.durations, k_min, k_max,
+                                   seed=seed)
     return avalanches, survival, fit
 
 

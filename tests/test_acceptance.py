@@ -19,8 +19,8 @@ from soc_auction import (E_INV, LogNormal, Rule, SeedSpec,
                          empirical_distribution_checks, estimate_af,
                          estimate_b, fit_power_tail, ks_critical_value,
                          oracle_run, quantile, run_replicas, run_sequence,
-                         sample, segment_avalanches, survival_function,
-                         theory_summary, ti_normality, uniform_stream)
+                         sample, segment_avalanches, theory_summary,
+                         ti_normality, uniform_stream)
 
 MODEL = LogNormal(0.0, 0.3)
 WORKERS = min(2, os.cpu_count() or 1)
@@ -127,10 +127,7 @@ def test_criterion_07_avalanche_tail():
     res = run_sequence(Rule.CLASSIC, prices, collect_trajectory=False)
     xc = theory_summary(MODEL).xc
     av = segment_avalanches(res.sale_prices, xc)
-    survival = survival_function(av.durations, grid="log", k_min=100,
-                                 k_max=10_000)
-    fit = fit_power_tail(survival, 100, 10_000, durations=av.durations,
-                         seed=1007)
+    fit = fit_power_tail(av.durations, 100, 10_000, seed=1007)
     elapsed = time.perf_counter() - t0
     ok = abs(fit.slope - (-0.54)) <= 0.10
     assert report(7, ok, f"slope = {fit.slope:.4f} vs −0.54 ± 0.10 "

@@ -168,6 +168,14 @@ def test_survival_function_log_grid():
     assert (np.diff(p) <= 0).all()
 
 
+@pytest.mark.parametrize("k_min, k_max", [(1, 3.5), (10.5, 12), (2.5, 1000.5)])
+def test_log_grid_stays_inside_the_k_range(k_min, k_max):
+    # rounding a log-spaced point can step past a bound that is not whole
+    k, _ = survival_function(np.arange(1, 2001), grid="log", k_min=k_min,
+                             k_max=k_max)
+    assert len(k) > 0 and k_min <= k.min() and k.max() <= k_max
+
+
 def test_survival_function_errors():
     with pytest.raises(ValueError):
         survival_function([])
@@ -177,17 +185,45 @@ def test_survival_function_errors():
         survival_function([1, 2], grid="log", k_min=5, k_max=2)
 
 
+@pytest.mark.parametrize("kwargs", [{"k_min": 2, "k_max": 3}, {"k_min": 2},
+                                    {"k_max": 3}])
+def test_survival_function_all_grid_refuses_a_k_range(kwargs):
+    with pytest.raises(ValueError, match="grid='all'"):
+        survival_function([1, 2, 3, 4], **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"k_min": 2}, {"k_max": 3}])
+def test_survival_function_log_grid_needs_a_k_range(kwargs):
+    with pytest.raises(ValueError, match="grid='log'"):
+        survival_function([1, 2, 3, 4], grid="log", **kwargs)
+
+
+@pytest.mark.parametrize("durations, named", [
+    ([1.5, 2.7, 3.9], "1.5 at index 0"), ([2, 0, -3, 5], "0 at index 1"),
+    ([1.0, 2.0, math.nan], "nan at index 2"), ([3, math.inf], "inf at index 1")])
+@pytest.mark.parametrize("survival", [
+    survival_function,
+    lambda d: survival_function(d, grid="log", k_min=1, k_max=10),
+    lambda d: fit_power_tail(d, 1, 10)])
+def test_durations_must_be_whole_numbers_from_one(durations, named, survival):
+    with pytest.raises(ValueError, match=f"whole numbers >= 1, got {named}$"):
+        survival(durations)
+
+
 # =====================================================================
 # power-law tail fit
 # =====================================================================
 
 def test_fit_recovers_exact_power_law():
-    k = np.unique(np.round(np.logspace(1, 4, 80)).astype(int))
-    p = k.astype(float) ** -0.54
-    fit = fit_power_tail((k, p), 10, 10_000)
-    assert fit.slope == pytest.approx(-0.54, abs=1e-6)
-    assert fit.n_points == len(k)
-    assert math.isnan(fit.stderr)  # no durations supplied
+    # the i-th of n durations is ceil((n / i) ** (1 / 0.54)), so
+    # ceil(n k^-0.54) - 1 of them exceed k: a survival of k^-0.54 up to 1/n;
+    # np.ceil gives them as whole-valued floats, which are accepted
+    n = 1_000_000
+    durations = np.ceil((n / np.arange(1, n + 1)) ** (1 / 0.54))
+    fit = fit_power_tail(durations, 10, 10_000, n_bootstrap=0)
+    assert fit.slope == pytest.approx(-0.54, abs=1e-4)
+    assert fit.n_points == len(analytics._log_grid(10, 10_000))
+    assert math.isnan(fit.stderr)  # no bootstrap
 
 
 def sample_discrete_power_law(alpha, n, s_max, seed):
@@ -201,19 +237,22 @@ def sample_discrete_power_law(alpha, n, s_max, seed):
 
 @pytest.mark.parametrize("k_min, k_max", [(0, 15), (-1, 15), (5, 5), (6, 5)])
 def test_fit_refuses_a_k_range_outside_one_to_k_max(k_min, k_max):
-    # a grid="all" survival starts at k = 0, whose log is -inf
-    survival = survival_function(np.tile(np.arange(1, 16), 3))
+    durations = np.tile(np.arange(1, 16), 3)
     with pytest.raises(ValueError, match=r"need 1 <= k_min < k_max"):
-        fit_power_tail(survival, k_min, k_max)
-    assert fit_power_tail(survival, 1, 15).slope == -1.0
+        fit_power_tail(durations, k_min, k_max)
+    assert fit_power_tail(durations, 1, 15).slope == -1.0
+
+
+def test_fit_refuses_a_negative_n_bootstrap():
+    durations = np.tile(np.arange(1, 16), 3)
+    with pytest.raises(ValueError, match="n_bootstrap must be >= 0, got -3"):
+        fit_power_tail(durations, 1, 15, n_bootstrap=-3)
 
 
 def test_fit_matches_discrete_power_law_oracle():
     # P(tau = s) ~ s^-1.5 implies survival exponent -0.5
     durations = sample_discrete_power_law(1.5, 200_000, 10_000_000, seed=55)
-    k, p = survival_function(durations, grid="log", k_min=10, k_max=10_000)
-    fit = fit_power_tail((k, p), 10, 10_000, durations=durations,
-                         n_bootstrap=60, seed=1)
+    fit = fit_power_tail(durations, 10, 10_000, n_bootstrap=60, seed=1)
     assert fit.slope == pytest.approx(-0.5, abs=0.05)
     assert fit.stderr == 0.0043343144872637724
 
@@ -231,9 +270,7 @@ def fig2_durations(seed):
                                           (3, 0.07542273162803853),
                                           (1007, 0.08903607729654077)])
 def test_fig2_tail_fit_stderr_is_pinned(seed, stderr):
-    d = fig2_durations(seed)
-    survival = survival_function(d, grid="log", k_min=100, k_max=10_000)
-    fit = fit_power_tail(survival, 100, 10_000, durations=d, seed=seed)
+    fit = fit_power_tail(fig2_durations(seed), 100, 10_000, seed=seed)
     assert fit.stderr == stderr
 
 
@@ -241,8 +278,7 @@ def test_tail_fit_stderr_drops_sparse_resamples():
     # 11 of the 250 resamples draw none of 14, 30 and 999, so they keep at
     # most 2 positive survival points on the grid and are left out
     d = np.array([1] * 55 + [11, 12, 14, 30, 999])
-    survival = survival_function(d, grid="log", k_min=10, k_max=1000)
-    fit = fit_power_tail(survival, 10, 1000, durations=d, seed=4)
+    fit = fit_power_tail(d, 10, 1000, seed=4)
     assert fit.stderr == 1.0382142986523566
 
 
@@ -277,33 +313,44 @@ def test_batched_bootstrap_matches_one_resample_at_a_time(seed, n, alpha, k_min,
                                                           span, n_bootstrap):
     d = sample_discrete_power_law(alpha, n, 100_000, seed)
     k_max = k_min * span
-    got = analytics._bootstrap_slopes(d, k_min, k_max, n_bootstrap, seed)
+    got = analytics._bootstrap_slopes(d, analytics._log_grid(k_min, k_max),
+                                      n_bootstrap, seed)
     assert got.tolist() == bootstrap_one_resample_at_a_time(d, k_min, k_max,
                                                             n_bootstrap, seed)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(points=st.lists(st.tuples(st.integers(1, 60), st.floats(1e-9, 1.0)),
-                       min_size=10, max_size=40))
-@example(points=[(k, 1.0 / k) for k in range(30, 10, -2)])  # distinct, descending
-@example(points=[(7, 0.5), (3, 0.9)] * 5)                   # two k, each repeated
-@example(points=[(7, 0.5)] * 12)                            # no distinct k pair
-def test_fit_slope_is_the_median_of_pairwise_slopes(points):
-    # drawn points come in any order, and k repeats often
-    ks, p = map(np.array, zip(*points))
-    want = median_pairwise_slope(ks, p)
-    if math.isnan(want):
-        with pytest.raises(InsufficientDataError, match="no distinct k pairs"):
-            fit_power_tail((ks, p), 1, 60)
+@given(durations=st.lists(st.integers(1, 80), min_size=1, max_size=200),
+       k_min=st.sampled_from([1, 2, 3.5]), k_max=st.sampled_from([30, 60, 99.5]))
+@example(durations=list(range(1, 40)), k_min=1, k_max=30)   # linear survival
+@example(durations=[7, 3] * 5, k_min=1, k_max=60)           # two points
+def test_fit_slope_is_the_median_of_pairwise_slopes(durations, k_min, k_max):
+    # drawn durations come in any order, and repeat often
+    ks, p = survival_function(durations, grid="log", k_min=k_min, k_max=k_max)
+    if len(ks) < 10:
+        with pytest.raises(InsufficientDataError,
+                           match=f"only {len(ks)} survival points"):
+            fit_power_tail(durations, k_min, k_max, n_bootstrap=0)
     else:
-        assert fit_power_tail((ks, p), 1, 60).slope == want
+        fit = fit_power_tail(durations, k_min, k_max, n_bootstrap=0)
+        assert fit.slope == median_pairwise_slope(ks, p)
+        assert fit.n_points == len(ks)
 
 
 def test_fit_too_few_points_names_count():
-    k = np.array([120, 300, 900])
-    p = np.array([0.5, 0.2, 0.05])
-    with pytest.raises(InsufficientDataError, match="3"):
-        fit_power_tail((k, p), 100, 10_000)
+    # only k = 100, 108 and 117 of the grid on [100, 10^4] lie below 120
+    with pytest.raises(InsufficientDataError, match="only 3 survival points"):
+        fit_power_tail([120, 120], 100, 10_000)
+
+
+# the grid on [1, 1.4] is the one point k = 1, and [10.2, 10.8] holds no
+# integer: no pair of points to take a slope from
+@pytest.mark.parametrize("k_min, k_max, count", [(1, 1.4, 1), (10.2, 10.8, 0)])
+def test_fit_on_a_grid_of_fewer_than_two_points_names_count(k_min, k_max,
+                                                            count):
+    with pytest.raises(InsufficientDataError,
+                       match=f"only {count} survival points"):
+        fit_power_tail([5, 5, 5], k_min, k_max)
 
 
 # =====================================================================
