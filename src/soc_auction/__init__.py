@@ -8,8 +8,7 @@ from .analytics import (AvalancheSet, B_DEFAULT, DistributionChecks, TailFit,
                         survival_function, theory_summary)
 from .distributions import (E_INV, Exponential, LogNormal, Pareto, PriceModel,
                             SeedSpec, Truncated, Uniform, critical_price,
-                            parse_model, quantile, sample, tail_moment_quad,
-                            uniform_stream)
+                            parse_model, quantile, sample, uniform_stream)
 from .engine import (AuctionEngine, Bid, Rule, RunResult, SaleRecord,
                      oracle_run, run_sequence)
 from .errors import InfiniteMomentError, InsufficientDataError, ModelSpecError
@@ -29,6 +28,6 @@ __all__ = [
     "empirical_distribution_checks", "estimate_af", "estimate_b",
     "estimate_pc", "fit_power_tail", "ks_critical_value", "ks_statistic",
     "oracle_run", "parse_model", "quantile", "run_replicas", "run_sequence",
-    "sample", "segment_avalanches", "survival_function", "tail_moment_quad",
-    "theory_summary", "ti_normality", "uniform_stream",
+    "sample", "segment_avalanches", "survival_function", "theory_summary",
+    "ti_normality", "uniform_stream",
 ]

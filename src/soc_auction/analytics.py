@@ -96,6 +96,10 @@ def empirical_critical_price(prices, pc: float = E_INV) -> float:
     prices = np.asarray(prices, dtype=float)
     if prices.size == 0:
         raise ValueError("empty price sample")
+    ok = np.isfinite(prices) & (prices > 0)
+    if not ok.all():
+        raise ValueError(f"prices must be finite and > 0, "
+                         f"got {prices[np.argmin(ok)]}")
     return float(np.quantile(prices, pc))
 
 
@@ -117,7 +121,7 @@ def ks_statistic(sample: np.ndarray, cdf) -> float:
 
 def ks_critical_value(n: int, alpha: float = 0.01) -> float:
     """Asymptotic critical value sqrt(-ln(alpha/2)/2) / sqrt(n)."""
-    if n <= 0:
+    if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -226,9 +230,11 @@ _LOG_GRID_POINTS = 60
 def _log_grid(k_min, k_max) -> np.ndarray:
     """_LOG_GRID_POINTS log-spaced integers in [k_min, k_max], deduplicated,
     in increasing order; a rounded point past a bound is left out. A range
-    other than 1 <= k_min < k_max is a ValueError."""
-    if not 1 <= k_min < k_max:
-        raise ValueError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
+    other than 1 <= k_min < k_max <= 2**53, where every integer is a double,
+    is a ValueError."""
+    if not 1 <= k_min < k_max <= 2 ** 53:
+        raise ValueError(f"need 1 <= k_min < k_max <= 2**53, "
+                         f"got [{k_min}, {k_max}]")
     ks = np.unique(np.round(np.logspace(math.log10(k_min), math.log10(k_max),
                                         _LOG_GRID_POINTS)).astype(np.int64))
     return ks[(ks >= k_min) & (ks <= k_max)]
@@ -276,7 +282,8 @@ def survival_function(durations, *, grid: str = "all",
 
 @dataclass(frozen=True)
 class TailFit:
-    """Power-law fit of the survival tail over k in [k_min, k_max]."""
+    """Power-law fit of the survival tail; k_min and k_max are the first and
+    last points of the log grid it fitted."""
 
     slope: float
     stderr: float
@@ -334,8 +341,10 @@ def fit_power_tail(durations, k_min: float, k_max: float, *,
     `n_bootstrap` resamples of the durations, in their given order, that
     `_resample_blocks` draws from `seed`, leaving out resamples with < 3
     positive points; it is NaN when fewer than 2 are kept (always for
-    n_bootstrap = 0). A negative n_bootstrap
-    or a range other than 1 <= k_min < k_max is a ValueError.
+    n_bootstrap = 0). The fit reports the grid's first and last points as
+    its k_min and k_max; whole-number bounds below 1e14 are their own grid
+    ends. A negative n_bootstrap or a range other than
+    1 <= k_min < k_max <= 2**53 is a ValueError.
     """
     if n_bootstrap < 0:
         raise ValueError(f"n_bootstrap must be >= 0, got {n_bootstrap}")
@@ -346,5 +355,5 @@ def fit_power_tail(durations, k_min: float, k_max: float, *,
                                     f"[{k_min}, {k_max}], need >= 10")
     boots = _bootstrap_slopes(d, ks, n_bootstrap, seed)
     stderr = float(np.std(boots, ddof=1)) if len(boots) >= 2 else math.nan
-    return TailFit(slope=float(slope), stderr=stderr, k_min=int(k_min),
-                   k_max=int(k_max), n_points=int(n_points))
+    return TailFit(slope=float(slope), stderr=stderr, k_min=int(ks[0]),
+                   k_max=int(ks[-1]), n_points=int(n_points))

@@ -13,7 +13,6 @@ uniform-double conversion are stable across platforms and numpy releases.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -339,7 +338,7 @@ def sample(model: PriceModel, seed: SeedSpec, n: int) -> np.ndarray:
 def quantile(model: PriceModel, p):
     """Smallest x with cdf(x) >= p, for p in [0, 1)."""
     pa = np.asarray(p, dtype=float)
-    if np.any(pa < 0) or np.any(pa >= 1):
+    if not np.all((pa >= 0) & (pa < 1)):
         raise ValueError(f"quantile level must be in [0, 1), got {p}")
     return _scalarize(p, model._ppf(pa))
 
@@ -353,33 +352,6 @@ def critical_price(model: PriceModel, pc: float = E_INV) -> float:
     if not 0 < pc < 1:
         raise ValueError(f"pc must be in (0, 1), got {pc}")
     return float(quantile(model, pc))
-
-
-def tail_moment_quad(model: PriceModel, c: float, power: int = 1) -> float:
-    """Quadrature route for the truncated moments.
-
-    Integrates quantile(u)^power du on [cdf(c), 1): the substitution
-    u = F(x) turns a heavy tail in x into an endpoint singularity in u that
-    adaptive Gauss-Kronrod handles well. Serves as an independent
-    cross-check of each law's closed form `tail_moment(c, power)`.
-    """
-    u0 = float(model.cdf(c))
-    if u0 >= 1.0:
-        return 0.0
-
-    def integrand(u):
-        return float(model._ppf(u)) ** power
-
-    from scipy import integrate  # here, so importing the package skips it
-
-    with warnings.catch_warnings():
-        # near machine precision QUADPACK reports roundoff in its
-        # extrapolation table; the returned value is still well inside the
-        # 1e-9 relative target
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _err = integrate.quad(integrand, u0, 1.0, epsabs=0.0,
-                                   epsrel=1e-10, limit=400)
-    return val
 
 
 # =====================================================================

@@ -14,9 +14,10 @@ from soc_auction import (E_INV, Exponential, InsufficientDataError, LogNormal,
                          Pareto, Rule, SeedSpec, Uniform, analytics,
                          empirical_critical_price,
                          empirical_distribution_checks, fit_power_tail,
-                         ks_critical_value, ks_statistic, parse_model, run_sequence,
-                         sample, segment_avalanches, survival_function,
-                         theory_summary)
+                         ks_critical_value, ks_statistic, parse_model, quantile,
+                         run_sequence, sample, segment_avalanches,
+                         survival_function, theory_summary)
+from test_distributions import ALL_MODELS
 
 
 # =====================================================================
@@ -40,6 +41,19 @@ def test_theory_summary_internal_consistency():
                 (1 - pc) * ts.mean_Y, rel=1e-9)
             assert ts.af_approx == pytest.approx(
                 (1 - pc) * ts.var_Y + ts.b_constant * ts.mean_Y ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [m for m in ALL_MODELS
+                                   if theory_summary(m).var_Y is not None],
+                         ids=lambda m: m.spec_string())
+def test_theory_summary_matches_the_reference_moments(model, tail_moment_ref):
+    # mean_Y = E[X; X > xc] / (1 - pc), var_Y = E[(X - mean_Y)^2; X > xc] / (1 - pc)
+    ts = theory_summary(model)
+    accepted = 1.0 - ts.pc
+    mean_y = tail_moment_ref(model, ts.xc, 1) / accepted
+    assert ts.mean_Y == pytest.approx(mean_y, rel=1e-13)
+    assert ts.var_Y == pytest.approx(
+        tail_moment_ref(model, ts.xc, 2, centre=mean_y) / accepted, rel=1e-13)
 
 
 def test_theory_summary_exponential_closed_forms():
@@ -86,6 +100,17 @@ def test_theory_summary_refuses_a_variance_not_above_zero(spec):
     with pytest.raises(ValueError, match=rf"^{re.escape(model.spec_string())}: "
                        r"var_Y = \S+ is not > 0"):
         theory_summary(model)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: quantile(LogNormal(0, 0.3), math.nan), r"must be in \[0, 1\), got nan"),
+    (lambda: empirical_critical_price([1.0, math.nan, 3.0]),
+     "prices must be finite and > 0, got nan"),
+    (lambda: ks_critical_value(math.nan), "n must be positive, got nan"),
+], ids=["quantile", "empirical_critical_price", "ks_critical_value"])
+def test_nan_fails_the_range_check(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_empirical_critical_price():
@@ -166,6 +191,8 @@ def test_survival_function_log_grid():
     assert len(k) == len(np.unique(k))
     assert (p > 0).all()
     assert (np.diff(p) <= 0).all()
+    # the largest k_max the grid takes
+    assert len(survival_function(durations, grid="log", k_min=1, k_max=2 ** 53)[0])
 
 
 @pytest.mark.parametrize("k_min, k_max", [(1, 3.5), (10.5, 12), (2.5, 1000.5)])
@@ -183,6 +210,8 @@ def test_survival_function_errors():
         survival_function([1, 2], grid="bogus")
     with pytest.raises(ValueError):
         survival_function([1, 2], grid="log", k_min=5, k_max=2)
+    with pytest.raises(ValueError, match=r"k_max <= 2\*\*53"):
+        survival_function([1, 2], grid="log", k_min=1, k_max=math.inf)
 
 
 @pytest.mark.parametrize("kwargs", [{"k_min": 2, "k_max": 3}, {"k_min": 2},
@@ -235,12 +264,22 @@ def sample_discrete_power_law(alpha, n, s_max, seed):
     return 1 + np.searchsorted(cdf, u, side="left")
 
 
-@pytest.mark.parametrize("k_min, k_max", [(0, 15), (-1, 15), (5, 5), (6, 5)])
+# past 2**53 the grid's int64 cast no longer holds every rounded point
+@pytest.mark.parametrize("k_min, k_max", [(0, 15), (-1, 15), (5, 5), (6, 5),
+                                          (1, 2 ** 53 + 1), (1, 1e20),
+                                          (1, math.inf)])
 def test_fit_refuses_a_k_range_outside_one_to_k_max(k_min, k_max):
     durations = np.tile(np.arange(1, 16), 3)
     with pytest.raises(ValueError, match=r"need 1 <= k_min < k_max"):
         fit_power_tail(durations, k_min, k_max)
     assert fit_power_tail(durations, 1, 15).slope == -1.0
+
+
+@pytest.mark.parametrize("k_min, k_max, ends", [
+    (10.5, 999.5, (11, 925)), (2.5, 1000.5, (3, 1000)), (10, 999, (10, 999))])
+def test_fit_reports_the_ends_of_the_grid_it_fitted(k_min, k_max, ends):
+    fit = fit_power_tail(np.arange(1, 3000), k_min, k_max, n_bootstrap=0)
+    assert (fit.k_min, fit.k_max) == ends
 
 
 def test_fit_refuses_a_negative_n_bootstrap():

@@ -360,6 +360,16 @@ def test_avalanches_k_range_below_one_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_avalanches_k_range_past_the_exact_integers_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["avalanches", "--model", "lognormal:mu=0,sigma=0.3", "--n",
+               "20000", "--kmin", "1", "--kmax", "99999999999999999999",
+               "--out", str(out)])
+    assert rc == 2
+    assert "need 1 <= k_min < k_max <= 2**53" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
     def no_memory(model, seed, n):
         raise MemoryError(f"Unable to allocate {8 * n} bytes")

@@ -1,5 +1,6 @@
 """Price-model tests: quantile/cdf consistency, truncated moments against
-quadrature and elementary integrals, seeded sampling, spec parsing."""
+a high-precision mpmath reference and elementary integrals, seeded
+sampling, spec parsing."""
 
 import math
 import subprocess
@@ -11,11 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import soc_auction
 from soc_auction import (E_INV, Exponential, InfiniteMomentError, LogNormal,
                          ModelSpecError, Pareto, SeedSpec, Truncated, Uniform,
                          critical_price, ks_critical_value, ks_statistic,
-                         parse_model, quantile, sample, tail_moment_quad,
-                         uniform_stream)
+                         parse_model, quantile, sample, uniform_stream)
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -129,28 +130,28 @@ def test_lognormal_tail_mean_reference_value():
     assert m.tail_moment(xc, 1) == pytest.approx(0.7720651, abs=1e-5)
 
 
-def test_exponential_tail_mean_closed_form():
+def test_exponential_tail_mean_closed_form(tail_moment_ref):
     m = Exponential(1.0)
     xc = -math.log(1.0 - E_INV)
     expected = (xc + 1.0) * math.exp(-xc)
     assert m.tail_moment(xc, 1) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.9220585, abs=1e-6)
-    assert m.tail_moment(xc, 1) == pytest.approx(tail_moment_quad(m, xc, 1), rel=1e-9)
+    assert m.tail_moment(xc, 1) == pytest.approx(tail_moment_ref(m, xc, 1), rel=1e-14)
 
 
-def test_uniform_tail_moments_elementary():
+def test_uniform_tail_moments_elementary(tail_moment_ref):
     m = Uniform(0, 1)
     c = E_INV
     assert m.tail_moment(c, 1) == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
     assert m.tail_moment(c, 1) == pytest.approx(0.4323324, abs=1e-7)
     assert m.tail_moment(c, 2) == pytest.approx((1 - math.exp(-3)) / 3, rel=1e-12)
-    assert m.tail_moment(c, 2) == pytest.approx(tail_moment_quad(m, c, 2), rel=1e-9)
+    assert m.tail_moment(c, 2) == pytest.approx(tail_moment_ref(m, c, 2), rel=1e-14)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
-def test_tail_mean_at_zero_is_mean(model):
+def test_tail_mean_at_zero_is_mean(model, tail_moment_ref):
     assert model.tail_moment(0.0, 1) == pytest.approx(
-        tail_moment_quad(model, 0.0, 1), rel=1e-9)
+        tail_moment_ref(model, 0.0, 1), rel=1e-14)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
@@ -160,7 +161,7 @@ def test_tail_mean_non_increasing(model):
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_closed_forms_match_quadrature_on_random_parameters():
+def test_closed_forms_match_quadrature_on_random_parameters(tail_moment_ref):
     rng = np.random.default_rng(101)
     checked = 0
     while checked < 100:
@@ -178,7 +179,7 @@ def test_closed_forms_match_quadrature_on_random_parameters():
         c = float(quantile(m, float(rng.uniform(0.05, 0.9))))
         for power in (1, 2):
             assert m.tail_moment(c, power) == pytest.approx(
-                tail_moment_quad(m, c, power), rel=1e-9)
+                tail_moment_ref(m, c, power), rel=1e-14)
         checked += 1
 
 
@@ -483,9 +484,16 @@ def test_models_are_immutable_and_hashable():
 
 
 def test_package_import_leaves_quadrature_unloaded():
-    # scipy.integrate serves only the tail_moment_quad cross-check
+    # the package integrates nothing: every truncated moment is a closed form
     code = ("import sys, soc_auction; "
             "print('scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_star_import_resolves_every_public_name():
+    # a stale __all__ entry makes the star import itself fail
+    namespace = {}
+    exec("from soc_auction import *", namespace)
+    assert set(soc_auction.__all__) <= namespace.keys()
