@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from . import _kernel
 from .errors import InfiniteMomentError, ModelSpecError
 
 # Conjectured asymptotic never-accepted fraction for the classic selling rule.
@@ -26,6 +26,30 @@ E_INV = math.exp(-1.0)
 # Smallest uniform fed to quantile functions: a draw of exactly 0.0 would map
 # to a non-positive price, which the engine rejects.
 _U_FLOOR = 2.0 ** -53
+
+
+def _normal(name: str, x):
+    """scipy.special's `name` (ndtr or ndtri) of x: from the C kernel's
+    Cephes port, bit for bit, when it loads, else from scipy, imported here
+    at first use. Keeps the shape of x; a 0-d x gives an np.float64."""
+    kernel = _kernel.load()
+    if not kernel:
+        import scipy.special
+        return getattr(scipy.special, name)(x)
+    arr = np.asarray(x, dtype=np.float64, order="C")
+    out = np.empty_like(arr)
+    getattr(kernel, name)(arr.ctypes.data, out.ctypes.data, arr.size)
+    return out[()]
+
+
+def _ndtr(x):
+    """The standard normal cdf."""
+    return _normal("ndtr", x)
+
+
+def _ndtri(p):
+    """The standard normal quantile."""
+    return _normal("ndtri", p)
 
 
 # =====================================================================
@@ -202,20 +226,20 @@ class LogNormal(PriceModel):
 
     def _sf(self, x):
         with np.errstate(divide="ignore"):  # log(0) = -inf: survival 1
-            return ndtr((self.mu - np.log(np.maximum(x, 0.0))) / self.sigma)
+            return _ndtr((self.mu - np.log(np.maximum(x, 0.0))) / self.sigma)
 
     def _isf(self, q):
-        return np.exp(self.mu - self.sigma * ndtri(q))
+        return np.exp(self.mu - self.sigma * _ndtri(q))
 
     def _ppf(self, u):
-        return np.exp(self.mu + self.sigma * ndtri(np.asarray(u, dtype=float)))
+        return np.exp(self.mu + self.sigma * _ndtri(np.asarray(u, dtype=float)))
 
     def tail_moment(self, c, power):
         s2 = power * self.sigma ** 2
         m = math.exp(power * self.mu + 0.5 * power * s2)
         if c <= 0:
             return m
-        return m * ndtr((self.mu + s2 - math.log(c)) / self.sigma)
+        return m * _ndtr((self.mu + s2 - math.log(c)) / self.sigma)
 
 
 @dataclass(frozen=True)

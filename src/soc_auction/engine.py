@@ -12,12 +12,11 @@ fraction of about one half.
 
 Accept-all baseline: every bid is immediately a sale of itself.
 
-`run_sequence` folds a whole price list of either comparison rule in the C
-kernel `_fold.c`, compiled on first use with the system C compiler (`cc`)
-into `$XDG_CACHE_HOME/soc_auction` (else `~/.cache/soc_auction`), and sums
-the income of every rule there with `exact_sum`, a port of `math.fsum`.
-Where no kernel can be built or loaded it runs `_fold`, the Python heap
-loop, and `math.fsum`, with the same outputs about twenty times slower.
+`run_sequence` folds a whole price list of either comparison rule with the
+C kernel's `fold` (see `_kernel`), and sums the income of every rule with
+its `exact_sum`, a port of `math.fsum`. Where no kernel can be built or
+loaded it runs `_fold`, the Python heap loop, and `math.fsum`, with the
+same outputs about twenty times slower.
 `AuctionEngine` feeds one bid at a time through `_fold` and sums its income
 with the same `_total_income`. `oracle_run` rescans the pool at every step
 and shares no rule code with either: it is the independent reference the
@@ -27,16 +26,15 @@ tests compare against. Prices must be finite and > 0.
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 import math
-import os
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from . import _kernel
 
 
 class Rule(str, enum.Enum):
@@ -200,56 +198,11 @@ def _fold(pl, heap: list[tuple[float, int]], armed: bool, i: int,
     return sale_p, acc, trig, armed
 
 
-_CC = ("cc", "-O2", "-shared", "-fPIC")
-
-
-@functools.cache
-def _kernel():
-    """The C kernels of `_fold.c`, compiled with the system C compiler into
-    the per-user cache on first use; None if they cannot be built or loaded.
-    Tried once per process."""
-    import ctypes
-    import hashlib
-    import subprocess
-    import tempfile
-
-    src = Path(__file__).with_name("_fold.c")
-    try:
-        key = hashlib.sha256(src.read_bytes() + " ".join(_CC).encode())
-        xdg = os.environ.get("XDG_CACHE_HOME", "")  # a relative one is invalid
-        cache = (Path(xdg) if os.path.isabs(xdg)
-                 else Path.home() / ".cache") / "soc_auction"
-        lib = cache / f"_fold-{key.hexdigest()[:16]}.so"
-        if not lib.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            # pool workers may build at once: each writes its own file and
-            # renames it into place
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run([*_CC, "-o", tmp, str(src)], check=True,
-                               capture_output=True)
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib))
-        fold, exact_sum = kernel.fold, kernel.exact_sum
-    except (OSError, RuntimeError, subprocess.SubprocessError):
-        return None
-    fold.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int,
-                     *[ctypes.c_void_p] * 4]
-    fold.restype = ctypes.c_int64
-    exact_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-    exact_sum.restype = ctypes.c_double
-    return kernel
-
-
 def _fold_run(arr: np.ndarray, two_consecutive: bool):
     """The sales of a whole run and its pool as sorted 0-based indices:
     from the C kernel when it loads, else from `_fold`."""
     n = len(arr)
-    kernel = _kernel()
+    kernel = _kernel.load()
     if kernel:
         sale_p = np.empty(n)
         acc, trig, heap = (np.empty(n, dtype=np.int64) for _ in range(3))
@@ -267,7 +220,7 @@ def _fold_run(arr: np.ndarray, two_consecutive: bool):
 def _total_income(sale_p: np.ndarray) -> float:
     """The sum of the sale prices rounded once, as `math.fsum` gives it: from
     the C kernel's `exact_sum` when it loads, else from `math.fsum`."""
-    kernel = _kernel()
+    kernel = _kernel.load()
     try:
         total = (kernel.exact_sum(sale_p.ctypes.data, len(sale_p)) if kernel
                  else math.fsum(sale_p))

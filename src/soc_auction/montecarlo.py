@@ -15,9 +15,9 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
-from .distributions import PriceModel, SeedSpec, _resample_blocks, sample
+from .distributions import (PriceModel, SeedSpec, _ndtri, _resample_blocks,
+                            sample)
 from .engine import Rule, RunResult, run_sequence
 from .errors import InsufficientDataError
 
@@ -125,7 +125,7 @@ def estimate_pc(results: list[ReplicaResult], level: float = 0.95) -> EstimateWi
     point = 1.0 - float(fracs.mean())
     se = float(fracs.std(ddof=1)) / math.sqrt(len(fracs))
     _check_level(level)
-    z = float(ndtri(0.5 + level / 2.0))
+    z = float(_ndtri(0.5 + level / 2.0))
     return EstimateWithCI(point, point - z * se, point + z * se,
                           len(results), level)
 

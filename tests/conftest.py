@@ -4,18 +4,19 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from soc_auction import engine
+from soc_auction import _kernel
 from soc_auction.distributions import (Exponential, LogNormal, Pareto,
                                        Truncated, Uniform)
 
 
 @pytest.fixture(params=["c", "python"])
 def backend(request, monkeypatch):
-    """run_sequence folds in the C kernel, or in the Python heap fold `_fold`."""
+    """The package runs on the C kernel, or on its fallbacks: the Python heap
+    fold `_fold`, `math.fsum` and scipy's ndtr/ndtri."""
     if request.param == "python":
-        monkeypatch.setattr(engine, "_kernel", lambda: None)
-    elif not engine._kernel():
-        pytest.skip("the C fold kernel cannot be built here")
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    elif not _kernel.load():
+        pytest.skip("the C kernel cannot be built here")
     return request.param
 
 

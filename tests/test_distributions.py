@@ -1,13 +1,17 @@
 """Price-model tests: quantile/cdf consistency, truncated moments against
 a high-precision mpmath reference and elementary integrals, seeded
-sampling, spec parsing."""
+sampling, spec parsing, and the kernel's normal cdf and quantile against
+scipy's."""
 
+import dataclasses
 import math
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -15,8 +19,10 @@ from scipy.special import ndtr
 import soc_auction
 from soc_auction import (E_INV, Exponential, InfiniteMomentError, LogNormal,
                          ModelSpecError, Pareto, SeedSpec, Truncated, Uniform,
-                         critical_price, ks_critical_value, ks_statistic,
-                         parse_model, quantile, sample, uniform_stream)
+                         _kernel, critical_price, ks_critical_value,
+                         ks_statistic, parse_model, quantile, sample,
+                         theory_summary, uniform_stream)
+from soc_auction.distributions import _ndtr, _ndtri
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -497,3 +503,100 @@ def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from soc_auction import *", namespace)
     assert set(soc_auction.__all__) <= namespace.keys()
+
+
+# =====================================================================
+# the normal cdf and quantile: the kernel's Cephes port against scipy
+# =====================================================================
+
+def _with_neighbours(values):
+    return [w for v in values for w in (np.nextafter(v, -np.inf), v,
+                                        np.nextafter(v, np.inf))]
+
+
+# every branch edge of Cephes ndtri, erf, erfc and ndtr, and either side
+_NDTRI_EDGES = [0.0, 1.0, 2.0 ** -53, 2.0 ** -1074, math.inf, -math.inf,
+                math.nan, -1.0, 2.0,
+                *_with_neighbours([0.5, math.exp(-2), 1 - math.exp(-2),
+                                   math.exp(-32), 1 - 2.0 ** -53])]
+_NDTR_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan,
+               *_with_neighbours([s * k * r for s in (1, -1) for k in (1, 8)
+                                  for r in (math.sqrt(0.5), math.sqrt(2))]),
+               *_with_neighbours([1.0, -1.0, math.sqrt(2 * 709.782712893384),
+                                  -math.sqrt(2 * 709.782712893384)]),
+               *np.linspace(-39.5, -37.0, 51), *np.linspace(37.0, 39.5, 51)]
+
+
+def _hex_bits(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values).ravel()]
+
+
+def _assert_scipy_bits(name, values):
+    if not _kernel.load():
+        pytest.skip("the C kernel cannot be built here")
+    values = np.array(values, dtype=float)
+    ours = {"ndtr": _ndtr, "ndtri": _ndtri}[name](values)
+    assert _hex_bits(ours) == _hex_bits(getattr(scipy.special, name)(values))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(),
+    st.integers(0, 0x3FF0000000000000).map(  # bit patterns over [0, 1]
+        lambda bits: float(np.int64(bits).view(np.float64)))), max_size=50))
+@example(values=_NDTRI_EDGES)
+def test_kernel_ndtri_is_scipy_bit_for_bit(values):
+    _assert_scipy_bits("ndtri", values)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(-40.0, 40.0), st.floats()),
+                       max_size=50))
+@example(values=_NDTR_EDGES)
+def test_kernel_ndtr_is_scipy_bit_for_bit(values):
+    _assert_scipy_bits("ndtr", values)
+
+
+def test_normal_functions_keep_the_shape_on_both_backends(backend):
+    assert type(_ndtr(0.25)) is np.float64
+    assert type(_ndtri(np.float64(0.25))) is np.float64
+    assert _ndtri(np.full((2, 3), 0.25)).shape == (2, 3)
+    assert _ndtr([0.5, 1.5]).shape == (2,)
+
+
+def _lognormal_outputs():
+    m = LogNormal(0.0, 0.3)
+    ts = theory_summary(m)
+    return (_hex_bits(sample(m, SeedSpec(7, 0), 20_000)),
+            _hex_bits(m.cdf(np.linspace(0.0, 5.0, 1001))),
+            [(type(v), repr(v)) for v in dataclasses.astuple(ts)])
+
+
+def test_lognormal_draws_cdf_and_theory_equal_on_both_backends(monkeypatch):
+    if not _kernel.load():
+        pytest.skip("the C kernel cannot be built here")
+    fast = _lognormal_outputs()
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert _lognormal_outputs() == fast
+
+
+def test_lognormal_commands_import_no_scipy():
+    # with the kernel loaded, the package needs scipy for nothing
+    code = textwrap.dedent("""\
+        import sys
+        import soc_auction as sa
+        if not sa._kernel.load():
+            raise SystemExit("no kernel")
+        m = sa.parse_model("lognormal:mu=0,sigma=0.3")
+        sa.theory_summary(m)
+        sa.sample(m, sa.SeedSpec(1), 1000)
+        sa.estimate_pc(sa.run_replicas(m, "classic", 200, 4, master_seed=1))
+        print(sorted(k for k in sys.modules if k.partition(".")[0] == "scipy"))
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    if proc.stderr.strip() == "no kernel":
+        pytest.skip("the C kernel cannot be built here")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, RunResult,
-                         SaleRecord, SeedSpec, engine, oracle_run, quantile,
+                         SaleRecord, SeedSpec, _kernel, oracle_run, quantile,
                          run_sequence, sample, uniform_stream)
 
 WORKED_PRICES = [14, 15, 18, 13, 16, 12, 10]
@@ -284,7 +284,7 @@ def test_income_overflow_is_a_named_error(backend):
 
 def kernel_sum(values) -> float:
     arr = np.ascontiguousarray(values, dtype=float)
-    return engine._kernel().exact_sum(arr.ctypes.data, len(arr))
+    return _kernel.load().exact_sum(arr.ctypes.data, len(arr))
 
 
 def fsum_or_inf(values) -> float:
@@ -314,8 +314,8 @@ _positive_doubles = st.one_of(
 @example(values=[0.1] * 100_000)
 @example(values=[5e-324] * 4096)
 def test_exact_sum_matches_fsum(values):
-    if not engine._kernel():
-        pytest.skip("the C fold kernel cannot be built here")
+    if not _kernel.load():
+        pytest.skip("the C kernel cannot be built here")
     # on an intermediate overflow fsum raises and the kernel returns inf
     assert kernel_sum(values).hex() == fsum_or_inf(values).hex()
 
@@ -343,18 +343,18 @@ def test_engine_income_is_run_sequence_income(backend, prices):
 
 @pytest.mark.parametrize("rule", [Rule.CLASSIC, Rule.TWO_CONSECUTIVE])
 def test_kernel_matches_python_fold(rule, monkeypatch):
-    if not engine._kernel():
-        pytest.skip("the C fold kernel cannot be built here")
+    if not _kernel.load():
+        pytest.skip("the C kernel cannot be built here")
     prices = sample(LogNormal(0, 0.3), SeedSpec(37, 0), 200_000)
     fast = run_sequence(rule, prices)
-    monkeypatch.setattr(engine, "_kernel", lambda: None)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
     assert_same_run(fast, run_sequence(rule, prices))
 
 
 def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):
     prices = sample(LogNormal(0, 0.3), SeedSpec(41, 0), 3000)
-    load = engine._kernel.__wrapped__
-    monkeypatch.setattr(engine, "_kernel", lambda: None)
+    load = _kernel.load.__wrapped__
+    monkeypatch.setattr(_kernel, "load", lambda: None)
     expected = [run_sequence(rule, prices) for rule in Rule]
     (tmp_path / "file").write_text("")
     for env in ({"PATH": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "c")},
@@ -362,11 +362,11 @@ def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             for k, v in env.items():
                 m.setenv(k, v)
-            m.setattr(engine, "_kernel", functools.cache(load))  # a cold cache
+            m.setattr(_kernel, "load", functools.cache(load))  # a cold cache
             for rule, want in zip(Rule, expected):
                 assert_same_run(run_sequence(rule, prices), want)
-            assert engine._kernel() is None
-            assert engine._kernel.cache_info().misses == 1  # tried once
+            assert _kernel.load() is None
+            assert _kernel.load.cache_info().misses == 1  # tried once
 
 
 def test_worked_example_oracle():
