@@ -16,12 +16,18 @@
  * its erf and erfc), the code scipy.special runs, so each value equals
  * scipy's bit for bit.
  *
+ * csv_rows: rows [lo, hi) of equal-length float64 and int64 columns as CSV
+ * text, in the cell rule of cli._cells.
+ *
  * Build without -ffast-math and with -ffp-contract=off: the error-free
  * transforms need exact IEEE rounding, and the polynomial loops must not
  * fuse a multiply and an add that Cephes rounds apart.
  */
+#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 
 static int above(const double *p, int64_t a, int64_t b)
 {
@@ -382,4 +388,71 @@ void ndtr(const double *in, double *out, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = ndtr1(in[i]);
+}
+
+/* The longest cells: "-2.2250738585072014e-308" and "-9223372036854775808".
+ * cli._CELL_BYTES sizes the caller's buffer by the same bounds. */
+#define REAL_CELL 24
+#define INT_CELL 20
+
+static char *put_int(char *s, int64_t v)
+{
+    char digits[INT_CELL];
+    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    int k = 0;
+    do {
+        digits[k++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        *s++ = '-';
+    while (k)
+        *s++ = digits[--k];
+    return s;
+}
+
+/* Python's '{:.17g}' of every double: glibc's "%.17g" gives the same text
+ * (the same shortest exponent, the same half-even ties) except for a NaN
+ * with its sign bit set, which glibc writes "-nan" and Python "nan". */
+static char *put_real(char *s, double x)
+{
+    if (isnan(x)) {
+        *s++ = 'n';
+        *s++ = 'a';
+        *s++ = 'n';
+        return s;
+    }
+    return s + snprintf(s, REAL_CELL + 1, "%.17g", x);
+}
+
+/* cols[j] is a double array when kinds[j] is 'f', else an int64 one;
+ * masks[j], when not NULL, holds one byte per row, nonzero for an empty
+ * cell. Each row ends in '\n'. out must hold REAL_CELL bytes per real,
+ * INT_CELL per integer and one separator per cell, for each row. The
+ * numbers are written in the "C" locale whatever LC_NUMERIC is, so the
+ * decimal point is always '.'. Returns the bytes written, or -1 when the
+ * locale object cannot be made (out of memory). */
+int64_t csv_rows(const void *const *cols, const char *kinds,
+                 const uint8_t *const *masks, int64_t n_cols,
+                 int64_t lo, int64_t hi, char *out)
+{
+    locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    locale_t caller = uselocale(c_locale);
+    char *s = out;
+    for (int64_t i = lo; i < hi; i++) {
+        for (int64_t j = 0; j < n_cols; j++) {
+            if (!masks[j] || !masks[j][i]) {
+                if (kinds[j] == 'f')
+                    s = put_real(s, ((const double *)cols[j])[i]);
+                else
+                    s = put_int(s, ((const int64_t *)cols[j])[i]);
+            }
+            *s++ = j + 1 < n_cols ? ',' : '\n';
+        }
+    }
+    uselocale(caller);
+    freelocale(c_locale);
+    return s - out;
 }

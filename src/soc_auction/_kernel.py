@@ -5,7 +5,8 @@ system C compiler (`cc`) into `$XDG_CACHE_HOME/soc_auction` (else
 `load()` is tried once per process and returns None when the kernels cannot
 be built or loaded. Each caller then runs its own fallback with the same
 outputs: `engine` the Python heap fold and `math.fsum`, `distributions`
-scipy's ndtr and ndtri. A `load` patched to return None runs them all.
+scipy's ndtr and ndtri, `cli` its Python CSV cells. A `load` patched to
+return None runs them all.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ def load():
         "exact_sum": ([ptr, i64], ctypes.c_double),
         "ndtri": ([ptr, ptr, i64], None),
         "ndtr": ([ptr, ptr, i64], None),
+        "csv_rows": ([ptr, ptr, ptr, i64, i64, i64, ptr], i64),
     }
     src = Path(__file__).with_name("_kernel.c")
     try:

@@ -6,7 +6,9 @@ memory), 3 I/O error, 4 insufficient data. All outputs are deterministic
 given the configuration and seed; reruns produce byte-identical CSV bodies.
 Every CSV cell follows one rule (in `_write_csv`): reals at 17 significant
 digits, which round-trips doubles losslessly; integers bare; an empty cell
-where no sale fired.
+where no sale fired. When the C kernel loads it formats the cells of float64
+and int64 columns, with the same bytes as the Python rule of `_cells`; it
+writes them in the "C" locale, so `LC_NUMERIC` cannot change them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, montecarlo
+from . import _kernel, analytics, montecarlo
 from .distributions import (E_INV, PriceModel, SeedSpec, critical_price,
                             parse_model, sample)
 from .engine import Rule, RunResult, run_sequence
@@ -49,6 +51,9 @@ FIG2_TOLERANCE = 0.10
 
 
 CSV_BLOCK_ROWS = 1 << 12  # rows formatted at once: bounds the text held in memory
+# the longest cell of each column kind that the kernel formats, as in
+# `_kernel.c`: "-2.2250738585072014e-308" and "-9223372036854775808"
+_CELL_BYTES = {np.dtype(np.float64): 24, np.dtype(np.int64): 20}
 
 
 def _cells(col: np.ndarray) -> list[str]:
@@ -59,14 +64,51 @@ def _cells(col: np.ndarray) -> list[str]:
     return cells
 
 
+def _text_rows(cols: list[np.ndarray]):
+    """Rows [lo, hi) of `cols` as CSV bytes, cell by cell in Python."""
+    def rows(lo: int, hi: int) -> bytes:
+        cells = [_cells(c[lo:hi]) for c in cols]
+        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+    return rows
+
+
+def _kernel_rows(kernel, cols: list[np.ndarray]):
+    """Rows [lo, hi) of `cols` as CSV bytes, formatted by the kernel's
+    `csv_rows` into one reused buffer; None when a column is neither
+    float64 nor int64."""
+    import ctypes
+
+    data = [np.ascontiguousarray(np.ma.getdata(c)) for c in cols]
+    if any(d.dtype not in _CELL_BYTES for d in data):
+        return None
+    masks = [None if m is np.ma.nomask else np.ascontiguousarray(m)
+             for m in map(np.ma.getmask, cols)]
+    ptrs = ctypes.c_void_p * len(cols)
+    kinds = "".join(d.dtype.kind for d in data).encode()
+    row_bytes = sum(_CELL_BYTES[d.dtype] for d in data) + len(cols)  # + separators
+    buf = np.empty(CSV_BLOCK_ROWS * row_bytes, dtype=np.uint8)
+
+    def rows(lo: int, hi: int) -> memoryview:
+        # pointers into `data` and `masks`, which this closure keeps alive
+        # (either may hold a contiguous copy that nothing else refers to)
+        n = kernel.csv_rows(ptrs(*(d.ctypes.data for d in data)), kinds,
+                            ptrs(*(None if m is None else m.ctypes.data
+                                   for m in masks)),
+                            len(cols), lo, hi, buf.ctypes.data)
+        if n < 0:
+            raise MemoryError("no memory for the C locale object")
+        return buf.data[:n]
+    return rows
+
+
 @contextlib.contextmanager
-def _replacing(path: Path, **open_kw):
+def _replacing(path: Path, mode: str = "w"):
     """Write to a temp name beside `path` and rename it onto `path` once the
     body succeeds; on any exception remove it, so a failed write leaves no
     file that looks complete."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", **open_kw) as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -77,13 +119,20 @@ def _replacing(path: Path, **open_kw):
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Equal-length columns under their names, in dict order. The one format
     rule: reals at 17 significant digits (a lossless double round trip),
-    integers bare, masked entries as empty cells."""
+    integers bare, masked entries as empty cells. The kernel formats float64
+    and int64 columns with the same bytes; any other dtype, or no kernel,
+    takes `_cells`."""
     cols = list(columns.values())
-    with _replacing(path, newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for lo in range(0, len(cols[0]), CSV_BLOCK_ROWS):
-            cells = [_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in cols]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    n = len(cols[0])
+    if any(len(c) != n for c in cols):
+        raise ValueError("CSV columns differ in length: " + ", ".join(
+            f"{name}={len(c)}" for name, c in columns.items()))
+    kernel = _kernel.load()
+    rows = (kernel and _kernel_rows(kernel, cols)) or _text_rows(cols)
+    with _replacing(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            fh.write(rows(lo, min(lo + CSV_BLOCK_ROWS, n)))
 
 
 def _json_text(obj: dict) -> str:

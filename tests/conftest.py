@@ -9,10 +9,17 @@ from soc_auction.distributions import (Exponential, LogNormal, Pareto,
                                        Truncated, Uniform)
 
 
+# for tests that compare the kernel with its fallbacks: skipped once, before
+# Hypothesis runs any example, when the kernel cannot be built
+needs_kernel = pytest.mark.skipif(_kernel.load() is None,
+                                  reason="the C kernel cannot be built here")
+
+
 @pytest.fixture(params=["c", "python"])
 def backend(request, monkeypatch):
     """The package runs on the C kernel, or on its fallbacks: the Python heap
-    fold `_fold`, `math.fsum` and scipy's ndtr/ndtri."""
+    fold `_fold`, `math.fsum`, scipy's ndtr/ndtri and the CSV cells of
+    `cli._cells`."""
     if request.param == "python":
         monkeypatch.setattr(_kernel, "load", lambda: None)
     elif not _kernel.load():

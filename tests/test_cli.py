@@ -4,18 +4,29 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
+import textwrap
+from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from soc_auction import Rule, SeedSpec, parse_model, run_sequence, sample
+from soc_auction import (Rule, SeedSpec, _kernel, cli, parse_model,
+                         run_sequence, sample)
 from soc_auction.cli import (CSV_BLOCK_ROWS, FIG1B_GRID, FIG1B_N, FIG1B_SEED,
                              FIG_MODEL, _write_csv, build_parser, main)
+
+from conftest import needs_kernel
 
 WORKED = "14\n15\n18\n13\n16\n12\n10\n"
 
@@ -56,7 +67,7 @@ def test_simulate_worked_example_prices_file(tmp_path):
     assert summary["model"] is None and summary["master_seed"] is None
 
 
-def test_write_csv_format_rule(tmp_path):
+def test_write_csv_format_rule(backend, tmp_path):
     path = tmp_path / "t.csv"
     _write_csv(path, {
         "i": np.array([1, -2, 30]),
@@ -70,7 +81,7 @@ def test_write_csv_format_rule(tmp_path):
         b"30,1.0000000000000001e+300,3\n")
 
 
-def test_write_csv_across_block_boundary(tmp_path):
+def test_write_csv_across_block_boundary(backend, tmp_path):
     n = CSV_BLOCK_ROWS + 3
     rng = np.random.default_rng(5)
     ints = rng.integers(-10**12, 10**12, n)
@@ -83,6 +94,112 @@ def test_write_csv_across_block_boundary(tmp_path):
                   "" if c is np.ma.masked else f"{float(c):.17g}")) + "\n"
         for a, b, c in zip(ints, reals, masked))
     assert path.read_text() == naive
+
+
+def _as_doubles(bits):
+    return np.asarray(bits, dtype=np.int64).view(np.float64)
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+# Hypothesis's own mix of floats, and uniform bit patterns: every exponent,
+# subnormals, and NaNs of either sign and any payload
+_DOUBLES = st.one_of(st.floats(), _INT64.map(lambda b: float(_as_doubles(b))))
+
+
+@st.composite
+def _csv_columns(draw):
+    n = draw(st.integers(0, 30))
+    columns = {}
+    for j in range(draw(st.integers(1, 4))):
+        real = draw(st.booleans())
+        col = np.array(draw(st.lists(_DOUBLES if real else _INT64,
+                                     min_size=n, max_size=n)),
+                       dtype=np.float64 if real else np.int64)
+        if draw(st.booleans()):
+            col = np.ma.array(col, mask=draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)))
+        columns[f"c{j}"] = col
+    return columns
+
+
+_POW10_ULPS = _as_doubles(
+    np.array([float(f"1e{e}") for e in range(-300, 301)]).view(np.int64)[:, None]
+    + np.arange(-40, 41)).ravel()
+# dyadic values exactly halfway between two 17-digit decimals (18
+# significant digits, the last a 5), where the tie goes to the even digit
+_HALFWAY = np.array([v for v in (
+    *(k + f for k in (10**15, 10**15 + 1, 1234567890123456, 2**51 - 1)
+      for f in (0.25, 0.75)),
+    *(m * 2.0**-j for m in range(1, 200, 2) for j in range(1, 80)))
+    if (d := Decimal(v).as_tuple().digits)[-1] == 5 and len(d) == 18])
+_SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -5e-324, 2.0**-1074 * 12345, 2.0**-1022 - 2.0**-1074,
+                     # NaNs with a payload, the second with its sign bit
+                     *_as_doubles([0x7FF8000000000001, -0x0007FFFFFFFFFFFF])])
+_LONGEST = np.full(CSV_BLOCK_ROWS, -2.2250738585072014e-308)  # 24 bytes
+
+
+@needs_kernel
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(columns=_csv_columns())
+@example(columns={"pow10": _POW10_ULPS, "neg": -_POW10_ULPS[::-1]})
+@example(columns={"half": np.concatenate([_HALFWAY, -_HALFWAY])})
+@example(columns={"x": _SPECIAL, "i": np.arange(len(_SPECIAL))})
+@example(columns={"i": np.array([-2**63, 2**63 - 1, 0, -1], dtype=np.int64)})
+@example(columns={"x": _LONGEST, "m": np.ma.array(_LONGEST, mask=False),
+                  "i": np.full(CSV_BLOCK_ROWS, -2**63, dtype=np.int64)})
+@example(columns={"x": np.zeros(0), "i": np.zeros(0, dtype=np.int64)})
+@example(columns={"x": np.ones(5), "m": np.ma.array(np.ones(5), mask=True)})
+@example(columns={"x": np.linspace(0, 1, 40)[::2],  # strided: copied
+                  "m": np.ma.array(np.arange(40), mask=np.arange(40) % 3 == 0)[::2]})
+@example(columns={"x": np.linspace(0, 1, CSV_BLOCK_ROWS - 1)})
+@example(columns={"x": np.linspace(0, 1, CSV_BLOCK_ROWS + 1),
+                  "i": np.ma.array(np.arange(CSV_BLOCK_ROWS + 1),
+                                   mask=np.arange(CSV_BLOCK_ROWS + 1) % 3 == 0)})
+def test_kernel_csv_rows_equal_python_cells(columns):
+    with tempfile.TemporaryDirectory() as d:
+        fast, slow = Path(d) / "c.csv", Path(d) / "py.csv"
+        _write_csv(fast, columns)
+        with mock.patch.object(_kernel, "load", lambda: None):  # `_cells`
+            _write_csv(slow, columns)
+        assert fast.read_bytes() == slow.read_bytes()
+
+
+@needs_kernel
+def test_kernel_csv_rows_ignore_the_numeric_locale(tmp_path):
+    # a locale whose decimal point is a comma, compiled beside the test
+    localedef = shutil.which("localedef")
+    if localedef:
+        subprocess.run([localedef, "-i", "de_DE", "-f", "UTF-8",
+                        str(tmp_path / "de_DE.UTF-8")], capture_output=True)
+    if not (tmp_path / "de_DE.UTF-8").is_dir():
+        pytest.skip("no decimal-comma locale can be built here")
+    code = textwrap.dedent("""\
+        import locale, sys
+        from pathlib import Path
+        import numpy as np
+        from soc_auction import _kernel
+        from soc_auction.cli import _write_csv
+        locale.setlocale(locale.LC_NUMERIC, "de_DE.UTF-8")
+        assert locale.localeconv()["decimal_point"] == ","
+        assert _kernel.load()
+        _write_csv(Path(sys.argv[1]), {"x": np.array([0.5, -1e-300, 1e20])})
+        """)
+    out = tmp_path / "t.csv"
+    subprocess.run([sys.executable, "-c", code, str(out)], check=True,
+                   env={**os.environ, "LOCPATH": str(tmp_path)})
+    assert out.read_bytes() == b"x\n0.5\n-1e-300\n1e+20\n"
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.arange(3), "b": np.arange(2.0)},
+    {"a": np.arange(2.0), "b": np.ma.array(np.arange(3), mask=[0, 1, 0])},
+])
+def test_write_csv_refuses_unequal_columns(backend, tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"a=\d, b=\d"):
+        _write_csv(path, columns)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_model_run_and_refold_round_trip(tmp_path):
@@ -102,6 +219,29 @@ def test_simulate_model_run_and_refold_round_trip(tmp_path):
     # sales fraction near 1 - 1/e
     assert abs(summary["sales_fraction"] - (1 - math.exp(-1))) < 0.03
     assert summary["xc_used"] == pytest.approx(0.90371, abs=1e-5)
+
+
+@needs_kernel
+def test_outputs_equal_on_both_backends(tmp_path, monkeypatch):
+    pf = tmp_path / "prices.txt"
+    pf.write_text(WORKED)
+    runs = {rule.value: ["simulate", "--model", FIG_MODEL, "--rule", rule.value,
+                         "--n", "5000", "--seed", "3"] for rule in Rule}
+    runs["prices-file"] = ["simulate", "--prices-file", str(pf)]
+    runs["avalanches"] = ["avalanches", "--model", FIG_MODEL, "--n", "50000",
+                          "--seed", "1", "--kmin", "2", "--kmax", "200"]
+    runs["fig1a"] = ["replicate", "fig1a"]
+    runs["fig1b"] = ["replicate", "fig1b", "--replicas", "20"]
+    outputs = {}
+    for backend in ("c", "python"):
+        if backend == "python":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / backend / name)]) == 0
+        outputs[backend] = {p.relative_to(tmp_path / backend): p.read_bytes()
+                            for p in (tmp_path / backend).rglob("*.*")}
+    assert sum(p.suffix == ".csv" for p in outputs["c"]) == 8
+    assert outputs["c"] == outputs["python"]
 
 
 def test_simulate_n_accepts_float_notation(tmp_path):
@@ -211,16 +351,34 @@ def test_unwritable_output_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
-    def disk_full(col):
-        raise OSError("No space left on device")
+def test_failed_write_leaves_no_file(backend, tmp_path, monkeypatch, capsys):
+    written = []
 
-    # the header is written before the first row block fails
-    monkeypatch.setattr("soc_auction.cli._cells", disk_full)
+    class FullDisk:
+        """A file whose writes fail once the header is written."""
+
+        def __init__(self, *args):
+            self.fh = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if written:
+                raise OSError("No space left on device")
+            written.append(bytes(data))
+            return self.fh.write(data)
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
     rc = main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "10",
                "--out", str(tmp_path), "--format", "csv"])
     assert rc == 3
     assert "No space left" in capsys.readouterr().err
+    assert written == [
+        b"bid_index,price,sale_flag,sale_price,trigger_index,ntilde\n"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -24,6 +24,8 @@ from soc_auction import (E_INV, Exponential, InfiniteMomentError, LogNormal,
                          theory_summary, uniform_stream)
 from soc_auction.distributions import _ndtr, _ndtri
 
+from conftest import needs_kernel
+
 ALL_MODELS = [
     Exponential(1.0),
     Exponential(0.4),
@@ -532,13 +534,12 @@ def _hex_bits(values) -> list[str]:
 
 
 def _assert_scipy_bits(name, values):
-    if not _kernel.load():
-        pytest.skip("the C kernel cannot be built here")
     values = np.array(values, dtype=float)
     ours = {"ndtr": _ndtr, "ndtri": _ndtri}[name](values)
     assert _hex_bits(ours) == _hex_bits(getattr(scipy.special, name)(values))
 
 
+@needs_kernel
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(values=st.lists(st.one_of(
     st.floats(0.0, 1.0),
@@ -550,6 +551,7 @@ def test_kernel_ndtri_is_scipy_bit_for_bit(values):
     _assert_scipy_bits("ndtri", values)
 
 
+@needs_kernel
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(values=st.lists(st.one_of(st.floats(-40.0, 40.0), st.floats()),
                        max_size=50))
@@ -573,9 +575,8 @@ def _lognormal_outputs():
             [(type(v), repr(v)) for v in dataclasses.astuple(ts)])
 
 
+@needs_kernel
 def test_lognormal_draws_cdf_and_theory_equal_on_both_backends(monkeypatch):
-    if not _kernel.load():
-        pytest.skip("the C kernel cannot be built here")
     fast = _lognormal_outputs()
     monkeypatch.setattr(_kernel, "load", lambda: None)
     assert _lognormal_outputs() == fast

@@ -14,6 +14,8 @@ from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, RunResult,
                          SaleRecord, SeedSpec, _kernel, oracle_run, quantile,
                          run_sequence, sample, uniform_stream)
 
+from conftest import needs_kernel
+
 WORKED_PRICES = [14, 15, 18, 13, 16, 12, 10]
 
 
@@ -302,6 +304,7 @@ _positive_doubles = st.one_of(
         lambda bits: float(np.int64(bits).view(np.float64))))
 
 
+@needs_kernel
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(values=st.lists(_positive_doubles, max_size=200))
 @example(values=[1.0, 2**-53])                # a tie: stays at the even 1.0
@@ -314,8 +317,6 @@ _positive_doubles = st.one_of(
 @example(values=[0.1] * 100_000)
 @example(values=[5e-324] * 4096)
 def test_exact_sum_matches_fsum(values):
-    if not _kernel.load():
-        pytest.skip("the C kernel cannot be built here")
     # on an intermediate overflow fsum raises and the kernel returns inf
     assert kernel_sum(values).hex() == fsum_or_inf(values).hex()
 
@@ -341,10 +342,9 @@ def test_engine_income_is_run_sequence_income(backend, prices):
                 == income_or_error(lambda: run_sequence(rule, prices).total_income))
 
 
+@needs_kernel
 @pytest.mark.parametrize("rule", [Rule.CLASSIC, Rule.TWO_CONSECUTIVE])
 def test_kernel_matches_python_fold(rule, monkeypatch):
-    if not _kernel.load():
-        pytest.skip("the C kernel cannot be built here")
     prices = sample(LogNormal(0, 0.3), SeedSpec(37, 0), 200_000)
     fast = run_sequence(rule, prices)
     monkeypatch.setattr(_kernel, "load", lambda: None)

@@ -12,6 +12,8 @@ from soc_auction import (E_INV, InsufficientDataError, LogNormal, ReplicaResult,
                          run_replicas, run_sequence, sample, ti_normality,
                          uniform_stream)
 
+from conftest import needs_kernel
+
 
 def test_run_replicas_deterministic_and_worker_invariant():
     model = LogNormal(0, 0.3)
@@ -23,9 +25,8 @@ def test_run_replicas_deterministic_and_worker_invariant():
     assert all(r.seed == SeedSpec(5, r.replica_id) for r in serial)
 
 
+@needs_kernel
 def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch):
-    if not _kernel.load():
-        pytest.skip("the C kernel cannot be built here")
     model = LogNormal(0, 0.3)  # its draw check runs the kernel's ndtri here
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernel, "load", functools.cache(_kernel.load.__wrapped__))
