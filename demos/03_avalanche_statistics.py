@@ -9,7 +9,7 @@ import numpy as np
 
 from soc_auction import (LogNormal, Rule, SeedSpec, fit_power_tail,
                          run_sequence, sample, segment_avalanches,
-                         survival_function, theory_summary)
+                         theory_summary)
 
 MODEL = LogNormal(0.0, 0.3)
 N = 500_000
@@ -30,12 +30,11 @@ def main():
           f"right {av.right_censored_length}")
     print()
 
-    ks, ps = survival_function(av.durations, grid="log", k_min=K_MIN,
-                               k_max=K_MAX)
+    # the fit carries the survival points it fitted
     fit = fit_power_tail(av.durations, K_MIN, K_MAX, n_bootstrap=150, seed=1)
     print(f"survival P(tau > k), log-spaced grid on [{K_MIN}, {K_MAX}]:")
-    for k, p in zip(ks[::6], ps[::6]):
-        bar = "#" * max(1, int(60 * p / ps[0]))
+    for k, p in zip(fit.k[::6], fit.survival[::6]):
+        bar = "#" * max(1, int(60 * p / fit.survival[0]))
         print(f"  k={k:>5d}  P={p:.4f}  {bar}")
     print()
     print(f"robust tail fit: slope {fit.slope:.3f} ± {fit.stderr:.3f} "

@@ -16,7 +16,7 @@ fitting of avalanche durations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -283,13 +283,19 @@ def survival_function(durations, *, grid: str = "all",
 @dataclass(frozen=True)
 class TailFit:
     """Power-law fit of the survival tail; k_min and k_max are the first and
-    last points of the log grid it fitted."""
+    last points of the log grid it fitted, and `k` and `survival` are the
+    points it fitted, those of the grid with survival > 0."""
 
     slope: float
     stderr: float
     k_min: int
     k_max: int
-    n_points: int
+    k: np.ndarray = field(compare=False, repr=False)
+    survival: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def n_points(self) -> int:
+        return len(self.k)
 
 
 def _median_slopes(ks: np.ndarray,
@@ -349,11 +355,12 @@ def fit_power_tail(durations, k_min: float, k_max: float, *,
     if n_bootstrap < 0:
         raise ValueError(f"n_bootstrap must be >= 0, got {n_bootstrap}")
     d, ks = np.asarray(durations), _log_grid(k_min, k_max)
-    (slope,), (n_points,) = _median_slopes(ks, _survival(d, ks)[1][None])
+    p = _survival(d, ks)[1]
+    (slope,), (n_points,) = _median_slopes(ks, p[None])
     if n_points < 10:
         raise InsufficientDataError(f"only {n_points} survival points in "
                                     f"[{k_min}, {k_max}], need >= 10")
     boots = _bootstrap_slopes(d, ks, n_bootstrap, seed)
     stderr = float(np.std(boots, ddof=1)) if len(boots) >= 2 else math.nan
     return TailFit(slope=float(slope), stderr=stderr, k_min=int(ks[0]),
-                   k_max=int(ks[-1]), n_points=int(n_points))
+                   k_max=int(ks[-1]), k=ks[p > 0], survival=p[p > 0])

@@ -19,7 +19,9 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -196,10 +198,28 @@ def _formats(ns) -> set[str]:
     return fmts
 
 
-def _out_dir(ns) -> Path:
+@contextlib.contextmanager
+def _publishing(ns):
+    """A fresh hidden directory inside `--out` to write a command's files
+    into; once the body succeeds they move into `--out` together. If a move
+    fails, the files already moved are removed, so a failed command leaves
+    none of its files; the staging directory never outlives the command."""
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield stage
+        published = []
+        try:
+            for f in sorted(stage.iterdir()):
+                os.replace(f, out / f.name)
+                published.append(out / f.name)
+        except BaseException:
+            for f in published:
+                f.unlink(missing_ok=True)
+            raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 # =====================================================================
@@ -212,31 +232,30 @@ def cmd_simulate(ns) -> int:
     result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file,
                           trajectory=True)
     xc = _xc_for(model, prices, ns.pc)
-    out = _out_dir(ns)
-
-    if "csv" in fmts:
-        bid_index = np.arange(1, result.n_bids + 1)
-        sale_flag = np.diff(result.ntilde, prepend=0)
-        sale_price = np.zeros(result.n_bids)
-        sale_price[result.trigger_indices - 1] = result.sale_prices
-        no_sale = sale_flag == 0
-        _write_csv(out / "events.csv", {
-            "bid_index": bid_index, "price": prices, "sale_flag": sale_flag,
-            "sale_price": np.ma.array(sale_price, mask=no_sale),
-            "trigger_index": np.ma.array(bid_index, mask=no_sale),
-            "ntilde": result.ntilde})
-    if "json" in fmts:
-        _write_json(out / "summary.json", {
-            "n_bids": result.n_bids,
-            "n_sales": result.n_sales,
-            "total_income": result.total_income,
-            "sales_fraction": result.sales_fraction,
-            "xc_used": xc,
-            "pc": ns.pc,
-            "rule": Rule(ns.rule).value,
-            "model": model.spec_string() if model is not None else None,
-            "master_seed": None if ns.prices_file is not None else ns.seed,
-        })
+    with _publishing(ns) as out:
+        if "csv" in fmts:
+            bid_index = np.arange(1, result.n_bids + 1)
+            sale_flag = np.diff(result.ntilde, prepend=0)
+            sale_price = np.zeros(result.n_bids)
+            sale_price[result.trigger_indices - 1] = result.sale_prices
+            no_sale = sale_flag == 0
+            _write_csv(out / "events.csv", {
+                "bid_index": bid_index, "price": prices, "sale_flag": sale_flag,
+                "sale_price": np.ma.array(sale_price, mask=no_sale),
+                "trigger_index": np.ma.array(bid_index, mask=no_sale),
+                "ntilde": result.ntilde})
+        if "json" in fmts:
+            _write_json(out / "summary.json", {
+                "n_bids": result.n_bids,
+                "n_sales": result.n_sales,
+                "total_income": result.total_income,
+                "sales_fraction": result.sales_fraction,
+                "xc_used": xc,
+                "pc": ns.pc,
+                "rule": Rule(ns.rule).value,
+                "model": model.spec_string() if model is not None else None,
+                "master_seed": None if ns.prices_file is not None else ns.seed,
+            })
     return EXIT_OK
 
 
@@ -245,23 +264,22 @@ def cmd_theory(ns) -> int:
     summary = analytics.theory_summary(model, pc=ns.pc, b=ns.b)
     payload = {"model": model.spec_string(), **dataclasses.asdict(summary)}
     if ns.out is not None:
-        _write_json(_out_dir(ns) / "theory.json", payload)
+        with _publishing(ns) as out:
+            _write_json(out / "theory.json", payload)
     print(_json_text(payload), end="")
     return EXIT_OK
 
 
 def _avalanche_fit(sale_prices: np.ndarray, xc: float, k_min: int, k_max: int,
-                   seed: int) -> tuple[analytics.AvalancheSet, tuple, analytics.TailFit]:
-    """Complete avalanches of a run, their log-grid survival and its tail fit."""
+                   seed: int) -> tuple[analytics.AvalancheSet, analytics.TailFit]:
+    """Complete avalanches of a run and the tail fit of their survival."""
     avalanches = analytics.segment_avalanches(sale_prices, xc)
     if avalanches.n_avalanches == 0:
         raise InsufficientDataError(
             "no complete avalanches: run too short or threshold too extreme")
-    survival = analytics.survival_function(
-        avalanches.durations, grid="log", k_min=k_min, k_max=k_max)
     fit = analytics.fit_power_tail(avalanches.durations, k_min, k_max,
                                    seed=seed)
-    return avalanches, survival, fit
+    return avalanches, fit
 
 
 def cmd_avalanches(ns) -> int:
@@ -270,21 +288,21 @@ def cmd_avalanches(ns) -> int:
     result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file)
     xc = _xc_for(model, prices, ns.pc)
     # fit before writing, so a failed fit leaves no output behind
-    avalanches, survival, fit = _avalanche_fit(result.sale_prices, xc,
-                                               ns.kmin, ns.kmax, ns.seed)
-    out = _out_dir(ns)
-    if "csv" in fmts:
-        _write_csv(out / "durations.csv", {"duration": avalanches.durations})
-        ks, ps = survival
-        _write_csv(out / "survival.csv", {"k": ks, "survival": ps})
-    if "json" in fmts:
-        _write_json(out / "tail_fit.json", {
-            **dataclasses.asdict(fit),
-            "n_avalanches": avalanches.n_avalanches,
-            "left_censored_first": avalanches.left_censored_first,
-            "right_censored_last": avalanches.right_censored_last,
-            "xc_used": xc,
-        })
+    avalanches, fit = _avalanche_fit(result.sale_prices, xc, ns.kmin, ns.kmax,
+                                     ns.seed)
+    with _publishing(ns) as out:
+        if "csv" in fmts:
+            _write_csv(out / "durations.csv", {"duration": avalanches.durations})
+            _write_csv(out / "survival.csv", {"k": fit.k, "survival": fit.survival})
+        if "json" in fmts:
+            _write_json(out / "tail_fit.json", {
+                "slope": fit.slope, "stderr": fit.stderr, "k_min": fit.k_min,
+                "k_max": fit.k_max, "n_points": fit.n_points,
+                "n_avalanches": avalanches.n_avalanches,
+                "left_censored_first": avalanches.left_censored_first,
+                "right_censored_last": avalanches.right_censored_last,
+                "xc_used": xc,
+            })
     return EXIT_OK
 
 
@@ -305,15 +323,15 @@ def cmd_fig1a(ns) -> int:
     result, prices = _run(model, Rule.CLASSIC, FIG1A_N, ns.seed)
     accepted = np.zeros(FIG1A_N, dtype=np.int64)
     accepted[result.accepted_indices - 1] = 1
-    out = _out_dir(ns)
-    _write_csv(out / "fig1a.csv", {"bid_index": np.arange(1, FIG1A_N + 1),
-                                   "price": prices, "accepted": accepted})
     share = float(np.mean(result.sale_prices > theory.xc))
-    _write_json(out / "fig1a_verdict.json", {
-        "figure": "fig1a", "n_bids": FIG1A_N, "seed": ns.seed, "xc": theory.xc,
-        "share_accepted_above_xc": share, "threshold": 0.99,
-        "pass": share >= 0.99,
-    })
+    with _publishing(ns) as out:
+        _write_csv(out / "fig1a.csv", {"bid_index": np.arange(1, FIG1A_N + 1),
+                                       "price": prices, "accepted": accepted})
+        _write_json(out / "fig1a_verdict.json", {
+            "figure": "fig1a", "n_bids": FIG1A_N, "seed": ns.seed,
+            "xc": theory.xc, "share_accepted_above_xc": share,
+            "threshold": 0.99, "pass": share >= 0.99,
+        })
     return EXIT_OK
 
 
@@ -330,39 +348,39 @@ def cmd_fig1b(ns) -> int:
     sd = tis.std(axis=0, ddof=1)
     low, high = mean - 3 * sd, mean + 3 * sd
     theory_line = theory.expected_ti_per_bid * grid
-    out = _out_dir(ns)
-    _write_csv(out / "fig1b.csv", {
-        "n_bids": grid, "mean_ti": mean, "sd_ti": sd, "band_low": low,
-        "band_high": high, "theory_ti": theory_line})
     inside = (theory_line >= low) & (theory_line <= high)
     all_inside = bool(inside[grid >= 50].all())
-    _write_json(out / "fig1b_verdict.json", {
-        "figure": "fig1b", "n_bids": FIG1B_N, "replicas": ns.replicas,
-        "seed": ns.seed, "ti_per_bid_theory": theory.expected_ti_per_bid,
-        "n_grid_points": int(len(grid)),
-        "all_inside_band_n_ge_50": all_inside, "pass": all_inside,
-    })
+    with _publishing(ns) as out:
+        _write_csv(out / "fig1b.csv", {
+            "n_bids": grid, "mean_ti": mean, "sd_ti": sd, "band_low": low,
+            "band_high": high, "theory_ti": theory_line})
+        _write_json(out / "fig1b_verdict.json", {
+            "figure": "fig1b", "n_bids": FIG1B_N, "replicas": ns.replicas,
+            "seed": ns.seed, "ti_per_bid_theory": theory.expected_ti_per_bid,
+            "n_grid_points": int(len(grid)),
+            "all_inside_band_n_ge_50": all_inside, "pass": all_inside,
+        })
     return EXIT_OK
 
 
 def cmd_fig2(ns) -> int:
     model, theory = _figure_setup()
     result, _ = _run(model, Rule.CLASSIC, FIG2_N, ns.seed)
-    avalanches, survival, fit = _avalanche_fit(result.sale_prices, theory.xc,
-                                               FIG2_KMIN, FIG2_KMAX, ns.seed)
-    ks, ps = survival
+    avalanches, fit = _avalanche_fit(result.sale_prices, theory.xc,
+                                     FIG2_KMIN, FIG2_KMAX, ns.seed)
+    ks, ps = fit.k, fit.survival
     anchor = ps[0] / ks[0] ** fit.slope
-    out = _out_dir(ns)
-    _write_csv(out / "fig2.csv", {"k": ks, "survival": ps,
-                                  "fit_survival": anchor * ks ** fit.slope})
     err = abs(fit.slope - FIG2_TARGET_SLOPE)
-    _write_json(out / "fig2_verdict.json", {
-        "figure": "fig2", "n_bids": FIG2_N, "seed": ns.seed,
-        "n_avalanches": avalanches.n_avalanches,
-        "slope": fit.slope, "stderr": fit.stderr,
-        "target_slope": FIG2_TARGET_SLOPE, "tolerance": FIG2_TOLERANCE,
-        "pass": bool(err <= FIG2_TOLERANCE),
-    })
+    with _publishing(ns) as out:
+        _write_csv(out / "fig2.csv", {"k": ks, "survival": ps,
+                                      "fit_survival": anchor * ks ** fit.slope})
+        _write_json(out / "fig2_verdict.json", {
+            "figure": "fig2", "n_bids": FIG2_N, "seed": ns.seed,
+            "n_avalanches": avalanches.n_avalanches,
+            "slope": fit.slope, "stderr": fit.stderr,
+            "target_slope": FIG2_TARGET_SLOPE, "tolerance": FIG2_TOLERANCE,
+            "pass": bool(err <= FIG2_TOLERANCE),
+        })
     return EXIT_OK
 
 

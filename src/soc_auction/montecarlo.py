@@ -9,6 +9,7 @@ order, so results do not depend on the worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -54,11 +55,19 @@ def _one_replica(model: PriceModel, rule: Rule, n_bids: int,
     return reduce(seed, run_sequence(rule, prices, collect_trajectory=False))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
                  n_replicas: int, master_seed: int, reduce,
                  workers: int = 1) -> list:
     """`reduce(seed, run)` of each replica in replica order, in a pool of
-    `workers` processes when workers > 1 (so `reduce` must pickle)."""
+    min(workers, n_replicas, CPUs) processes when that is more than one (so
+    `reduce` must pickle)."""
     if n_bids < 1:
         raise ValueError(f"n_bids must be >= 1, got {n_bids}")
     if n_replicas < 1:
@@ -66,7 +75,8 @@ def map_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     one = partial(_one_replica, model, Rule(rule), n_bids, master_seed, reduce)
-    workers = min(workers, n_replicas)  # a pool forks all its workers up front
+    # a pool forks all its workers up front
+    workers = min(workers, n_replicas, _cpus())
     if workers == 1:
         return [one(r) for r in range(n_replicas)]
     chunk = max(1, n_replicas // (workers * 8))

@@ -363,6 +363,7 @@ def test_batched_bootstrap_matches_one_resample_at_a_time(seed, n, alpha, k_min,
        k_min=st.sampled_from([1, 2, 3.5]), k_max=st.sampled_from([30, 60, 99.5]))
 @example(durations=list(range(1, 40)), k_min=1, k_max=30)   # linear survival
 @example(durations=[7, 3] * 5, k_min=1, k_max=60)           # two points
+@example(durations=list(range(1, 40)), k_min=1, k_max=99.5)  # P = 0 past 39
 def test_fit_slope_is_the_median_of_pairwise_slopes(durations, k_min, k_max):
     # drawn durations come in any order, and repeat often
     ks, p = survival_function(durations, grid="log", k_min=k_min, k_max=k_max)
@@ -373,7 +374,12 @@ def test_fit_slope_is_the_median_of_pairwise_slopes(durations, k_min, k_max):
     else:
         fit = fit_power_tail(durations, k_min, k_max, n_bootstrap=0)
         assert fit.slope == median_pairwise_slope(ks, p)
-        assert fit.n_points == len(ks)
+        # the fit carries the very points it fitted
+        assert np.array_equal(fit.k, ks) and fit.k.dtype == ks.dtype
+        assert (np.array_equal(fit.survival, p)
+                and fit.survival.dtype == p.dtype)
+        assert fit.n_points == len(fit.k)
+        assert fit.k_min <= fit.k[0] and fit.k[-1] <= fit.k_max
 
 
 def test_fit_too_few_points_names_count():

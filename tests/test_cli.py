@@ -382,6 +382,37 @@ def test_failed_write_leaves_no_file(backend, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# each command that writes more than one file, and the file it writes last
+LAST_OUTPUT = {
+    "simulate": (["simulate", "--model", FIG_MODEL, "--n", "1000"],
+                 "summary.json"),
+    "avalanches": (["avalanches", "--model", FIG_MODEL, "--n", "50000",
+                    "--seed", "1", "--kmin", "2", "--kmax", "200"],
+                   "tail_fit.json"),
+    "fig1a": (["replicate", "fig1a"], "fig1a_verdict.json"),
+    "fig1b": (["replicate", "fig1b", "--replicas", "20"], "fig1b_verdict.json"),
+    "fig2": (["replicate", "fig2"], "fig2_verdict.json"),
+}
+
+
+@pytest.mark.parametrize("command", LAST_OUTPUT)
+def test_blocked_last_output_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                            command):
+    # a fig2 small enough to fit quickly, on a k range its run can fill
+    monkeypatch.setattr(cli, "FIG2_N", 50_000)
+    monkeypatch.setattr(cli, "FIG2_KMIN", 2)
+    monkeypatch.setattr(cli, "FIG2_KMAX", 200)
+    argv, last = LAST_OUTPUT[command]
+    assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+    written = sorted(p.name for p in (tmp_path / "ok").iterdir())
+    assert last in written and not any(n.startswith(".") for n in written)
+    (tmp_path / "out" / last).mkdir(parents=True)  # no file can go there
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [last]
+    assert not any((tmp_path / "out" / last).iterdir())
+
+
 def test_missing_model_and_prices_is_config_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--n", "10", "--out", str(tmp_path)])

@@ -30,6 +30,7 @@ def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch):
     model = LogNormal(0, 0.3)  # its draw check runs the kernel's ndtri here
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernel, "load", functools.cache(_kernel.load.__wrapped__))
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)  # a pool, on any host
     pooled = run_replicas(model, Rule.CLASSIC, 2000, 8, master_seed=5, workers=2)
     # the workers built it, not this process
     assert _kernel.load.cache_info().currsize == 0
@@ -57,11 +58,20 @@ def test_pool_starts_at_most_one_worker_per_replica(monkeypatch):
     model = LogNormal(0, 0.3)
     serial = run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 64)
     assert run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5,
                         workers=4096) == serial
     assert run_replicas(model, Rule.CLASSIC, 500, 1, master_seed=5,
                         workers=4096) == serial[:1]
     assert started == [3]
+    # nor more than one per CPU, and none on one CPU
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    assert run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5,
+                        workers=4096) == serial
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+    assert run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5,
+                        workers=4096) == serial
+    assert started == [3, 2]
 
 
 def test_replica_matches_direct_run():
