@@ -94,14 +94,15 @@ def _resample_blocks(samples: dict, n_bootstrap: int, seed: int,
     """`n_bootstrap` bootstrap resamples of every array in `samples`, drawn
     with replacement from SeedSpec(seed), resample after resample and in
     dict order, as dicts of row matrices of at most _BOOT_BLOCK rows each.
-    The row kept of a drawn array v is `cut(v)`, taken at once."""
+    The row kept of a drawn array v is `cut(v)`, taken at once. Each draw
+    indexes v as `Generator.choice(v, len(v))` does, with the same stream."""
     rng = SeedSpec(seed).generator()
     for start in range(0, n_bootstrap, _BOOT_BLOCK):
         block = min(_BOOT_BLOCK, n_bootstrap - start)
         rows = {}
         for b in range(block):
             for k, v in samples.items():
-                row = cut(rng.choice(v, size=len(v), replace=True))
+                row = cut(v[rng.integers(0, len(v), size=len(v))])
                 if b == 0:
                     rows[k] = np.empty((block, *row.shape), row.dtype)
                 rows[k][b] = row

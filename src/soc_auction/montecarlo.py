@@ -3,7 +3,8 @@
 `_one_replica` is the one place that addresses a replica's seed: replica r
 draws its prices from SeedSpec(master_seed, r) and is folded without a
 trajectory. `map_replicas` returns each replica's reduction in replica
-order, so results do not depend on the worker count.
+order, so results do not depend on the worker count. Its process pool is
+kept between calls (`_pool`), one per process.
 """
 
 from __future__ import annotations
@@ -62,12 +63,45 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+# (workers, pid, executor) of the one pool this process keeps, or None
+_POOL = None
+
+
+def _close_pool(cancel_futures: bool = False) -> None:
+    """Shut the kept pool down, joining its workers, and forget it. A pool
+    inherited through fork is only forgotten: its workers are the parent's."""
+    global _POOL
+    if _POOL is not None:
+        _, pid, pool = _POOL
+        _POOL = None
+        if pid == os.getpid():
+            pool.shutdown(wait=True, cancel_futures=cancel_futures)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of `workers` processes, started on first use and
+    kept for later calls; concurrent.futures joins it at interpreter exit.
+
+    A pool of another size is shut down first, so its manager thread is
+    gone before the new pool forks."""
+    global _POOL
+    if _POOL is None or _POOL[:2] != (workers, os.getpid()):
+        _close_pool()
+        _POOL = (workers, os.getpid(), ProcessPoolExecutor(max_workers=workers))
+    return _POOL[2]
+
+
 def map_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
                  n_replicas: int, master_seed: int, reduce,
                  workers: int = 1) -> list:
-    """`reduce(seed, run)` of each replica in replica order, in a pool of
-    min(workers, n_replicas, CPUs) processes when that is more than one (so
-    `reduce` must pickle)."""
+    """`reduce(seed, run)` of each replica in replica order.
+
+    When min(workers, n_replicas, CPUs) is more than one, the replicas run
+    in `_pool` of that many processes, which later calls of the same size
+    reuse. Its workers are forked by the call that starts it, so `reduce`
+    must pickle by reference to a module they can import. An exception out
+    of the pool shuts it down; the next call starts a new one. Threads of
+    one process must not call it at once: they would share the pool."""
     if n_bids < 1:
         raise ValueError(f"n_bids must be >= 1, got {n_bids}")
     if n_replicas < 1:
@@ -80,8 +114,11 @@ def map_replicas(model: PriceModel, rule: Rule | str, n_bids: int,
     if workers == 1:
         return [one(r) for r in range(n_replicas)]
     chunk = max(1, n_replicas // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(n_replicas), chunksize=chunk))
+    try:
+        return list(_pool(workers).map(one, range(n_replicas), chunksize=chunk))
+    except BaseException:
+        _close_pool(cancel_futures=True)
+        raise
 
 
 def _summary(seed: SeedSpec, run: RunResult) -> ReplicaResult:

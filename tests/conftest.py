@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from soc_auction import _kernel
+from soc_auction import _kernel, montecarlo
 from soc_auction.distributions import (Exponential, LogNormal, Pareto,
                                        Truncated, Uniform)
 
@@ -15,11 +15,22 @@ needs_kernel = pytest.mark.skipif(_kernel.load() is None,
                                   reason="the C kernel cannot be built here")
 
 
+@pytest.fixture
+def fresh_pool():
+    """No kept replica pool when the test starts, and none after it: workers
+    forked earlier would keep the functions the test patches. Ask for it
+    after `monkeypatch`, so it closes the pool before the patches are
+    undone."""
+    montecarlo._close_pool()
+    yield
+    montecarlo._close_pool()
+
+
 @pytest.fixture(params=["c", "python"])
-def backend(request, monkeypatch):
+def backend(request, monkeypatch, fresh_pool):
     """The package runs on the C kernel, or on its fallbacks: the Python heap
     fold `_fold`, `math.fsum`, scipy's ndtr/ndtri and the CSV cells of
-    `cli._cells`."""
+    `cli._cells`. Replica pools started in the test fork with its backend."""
     if request.param == "python":
         monkeypatch.setattr(_kernel, "load", lambda: None)
     elif not _kernel.load():

@@ -22,7 +22,7 @@ from soc_auction import (E_INV, Exponential, InfiniteMomentError, LogNormal,
                          _kernel, critical_price, ks_critical_value,
                          ks_statistic, parse_model, quantile, sample,
                          theory_summary, uniform_stream)
-from soc_auction.distributions import _ndtr, _ndtri
+from soc_auction.distributions import _ndtr, _ndtri, _resample_blocks
 
 from conftest import needs_kernel
 
@@ -527,6 +527,22 @@ _NDTR_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan,
                *_with_neighbours([1.0, -1.0, math.sqrt(2 * 709.782712893384),
                                   -math.sqrt(2 * 709.782712893384)]),
                *np.linspace(-39.5, -37.0, 51), *np.linspace(37.0, 39.5, 51)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63), n=st.integers(0, 300),
+       dtype=st.sampled_from([np.float64, np.int64]),
+       n_bootstrap=st.integers(1, 3))
+def test_resamples_are_generator_choice_draws(seed, n, dtype, n_bootstrap):
+    # each resample indexes v with Generator.integers; Generator.choice on a
+    # twin generator draws the same values from the same stream
+    v = (np.arange(n, dtype=dtype) * 3 - n) // 2  # distinct values
+    twin = SeedSpec(seed).generator()
+    [rows] = _resample_blocks({"v": v}, n_bootstrap, seed)
+    assert rows["v"].dtype == v.dtype
+    assert rows["v"].shape == (n_bootstrap, n)
+    for row in rows["v"]:
+        assert np.array_equal(row, twin.choice(v, size=n, replace=True))
 
 
 def _hex_bits(values) -> list[str]:

@@ -1,7 +1,15 @@
 """Monte Carlo tests: replica determinism, estimator values and error paths."""
 
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +34,8 @@ def test_run_replicas_deterministic_and_worker_invariant():
 
 
 @needs_kernel
-def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch):
+def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch,
+                                                         fresh_pool):
     model = LogNormal(0, 0.3)  # its draw check runs the kernel's ndtri here
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernel, "load", functools.cache(_kernel.load.__wrapped__))
@@ -39,31 +48,36 @@ def test_pool_workers_build_the_kernel_into_a_cold_cache(tmp_path, monkeypatch):
     assert pooled == run_replicas(model, Rule.CLASSIC, 2000, 8, master_seed=5)
 
 
-def test_pool_starts_at_most_one_worker_per_replica(monkeypatch):
-    started = []
+def _serial_pools(monkeypatch) -> list:
+    """Patch in a pool double that maps in this process, so it starts no
+    thread and a test may fork; return its records: ("made", size, pid)
+    and ("shutdown", pid)."""
+    events = []
 
-    class SerialPool:  # records the pool size, then maps in this process
+    class SerialPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            events.append(("made", max_workers, os.getpid()))
 
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            events.append(("shutdown", os.getpid()))
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    return events
+
+
+def test_pool_starts_at_most_one_worker_per_replica(monkeypatch, fresh_pool):
     model = LogNormal(0, 0.3)
     serial = run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    events, pid = _serial_pools(monkeypatch), os.getpid()
     monkeypatch.setattr(montecarlo, "_cpus", lambda: 64)
     assert run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5,
                         workers=4096) == serial
     assert run_replicas(model, Rule.CLASSIC, 500, 1, master_seed=5,
                         workers=4096) == serial[:1]
-    assert started == [3]
+    assert events == [("made", 3, pid)]
     # nor more than one per CPU, and none on one CPU
     monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
     assert run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5,
@@ -71,7 +85,137 @@ def test_pool_starts_at_most_one_worker_per_replica(monkeypatch):
     monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
     assert run_replicas(model, Rule.CLASSIC, 500, 3, master_seed=5,
                         workers=4096) == serial
-    assert started == [3, 2]
+    assert events == [("made", 3, pid), ("shutdown", pid), ("made", 2, pid)]
+
+
+def _count_pools(monkeypatch) -> list:
+    """Patch in a real pool that records, as it is made, its size and the
+    threads alive in this process; return the records."""
+    made = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append((max_workers, threading.active_count()))
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
+    return made
+
+
+def test_one_pool_serves_every_call_of_its_size(monkeypatch, fresh_pool):
+    made = _count_pools(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    model = LogNormal(0, 0.3)
+    # the calls of the replica ladder: three sizes of classic, then the
+    # two-consecutive rule
+    ladder = [(Rule.CLASSIC, n, 6) for n in (1000, 2000, 5000)]
+    ladder.append((Rule.TWO_CONSECUTIVE, 5000, 3))
+    for rule, n_bids, n_replicas in ladder:
+        assert (run_replicas(model, rule, n_bids, n_replicas, 5, workers=2)
+                == run_replicas(model, rule, n_bids, n_replicas, 5))
+    assert made == [(2, 1)]
+
+
+def test_another_worker_count_replaces_the_pool(monkeypatch, fresh_pool):
+    made = _count_pools(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+    model = LogNormal(0, 0.3)
+    serial = run_replicas(model, Rule.CLASSIC, 500, 6, master_seed=5)
+    pools = []
+    for workers in (2, 3, 2):
+        assert run_replicas(model, Rule.CLASSIC, 500, 6, master_seed=5,
+                            workers=workers) == serial
+        pools.append(montecarlo._POOL[2])
+    # each new pool forked with the old one's manager thread joined
+    assert made == [(2, 1), (3, 1), (2, 1)]
+    for old in pools[:2]:
+        with pytest.raises(RuntimeError, match="shutdown"):
+            old.submit(abs, -1)
+
+
+def _raise_at_replica_3(seed, run):
+    if seed.stream_id == 3:
+        raise ArithmeticError("replica 3")
+    return run.n_sales
+
+
+def test_failed_map_drops_the_pool(monkeypatch, fresh_pool):
+    made = _count_pools(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    model = LogNormal(0, 0.3)
+    with pytest.raises(ArithmeticError, match="replica 3"):
+        montecarlo.map_replicas(model, Rule.CLASSIC, 500, 8, 5,
+                                _raise_at_replica_3, workers=2)
+    assert montecarlo._POOL is None
+    assert (run_replicas(model, Rule.CLASSIC, 500, 8, master_seed=5, workers=2)
+            == run_replicas(model, Rule.CLASSIC, 500, 8, master_seed=5))
+    assert [size for size, _ in made] == [2, 2]
+
+
+def test_forked_child_starts_its_own_pool(monkeypatch, fresh_pool):
+    events = _serial_pools(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    model = LogNormal(0, 0.3)
+    serial = run_replicas(model, Rule.CLASSIC, 500, 4, master_seed=5)
+    assert run_replicas(model, Rule.CLASSIC, 500, 4, 5, workers=2) == serial
+    parent_pool = montecarlo._POOL[2]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report its events and leave at once
+        try:
+            del events[:]
+            ok = run_replicas(model, Rule.CLASSIC, 500, 4, 5, workers=2) == serial
+            os.write(write, json.dumps([ok, events, os.getpid(),
+                                        montecarlo._POOL[2] is parent_pool]).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        ok, child_events, child_pid, reused = json.loads(pipe.read())
+    assert os.waitpid(pid, 0)[1] == 0
+    assert ok and not reused
+    # the child made its own pool and left the inherited one running
+    assert child_events == [["made", 2, child_pid]]
+    assert montecarlo._POOL[2] is parent_pool
+    assert events == [("made", 2, os.getpid())]
+
+
+def _kernel_absent(seed, run):
+    return _kernel.load() is None
+
+
+def test_pool_workers_run_on_the_backend_of_the_test(backend, monkeypatch):
+    # a pool kept from an earlier test would fold with the loader it forked
+    # with; the backend fixture closes it before patching the loader
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    absent = montecarlo.map_replicas(LogNormal(0, 0.3), Rule.CLASSIC, 500, 4,
+                                     5, _kernel_absent, workers=2)
+    assert absent == [backend == "python"] * 4
+
+
+def test_no_worker_outlives_the_program():
+    code = textwrap.dedent("""\
+        import multiprocessing
+        from soc_auction import LogNormal, Rule, montecarlo, run_replicas
+        montecarlo._cpus = lambda: 2
+        run_replicas(LogNormal(0, 0.3), Rule.CLASSIC, 500, 8, master_seed=5,
+                     workers=2)
+        print(*[p.pid for p in multiprocessing.active_children()])
+        """)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c",
+                           code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    for pid in pids:
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"worker {pid} still runs"
+            time.sleep(0.05)
 
 
 def test_replica_matches_direct_run():
