@@ -17,7 +17,12 @@
  * scipy's bit for bit.
  *
  * csv_rows: rows [lo, hi) of equal-length float64 and int64 columns as CSV
- * text, in the cell rule of cli._cells.
+ * text, in the cell rule of cli._cells. Integers are written two digits at a
+ * time. A real with 2^-53 <= |x| < 2^128 (about 1.1e-16 to 3.4e38) is
+ * written by put_exact, which rounds it to 17 significant digits exactly in
+ * unsigned 128-bit integers; glibc's snprintf("%.17g"), under the "C"
+ * locale, writes the other reals (0, infinities, smaller and larger
+ * magnitudes), and every real on a compiler without unsigned __int128.
  *
  * Build without -ffast-math and with -ffp-contract=off: the error-free
  * transforms need exact IEEE rounding, and the polynomial loops must not
@@ -28,6 +33,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <string.h>
 
 static int above(const double *p, int64_t a, int64_t b)
 {
@@ -395,25 +401,143 @@ void ndtr(const double *in, double *out, int64_t n)
 #define REAL_CELL 24
 #define INT_CELL 20
 
-static char *put_int(char *s, int64_t v)
+static const uint64_t POW10[20] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+    1000000000, 10000000000, 100000000000, 1000000000000, 10000000000000,
+    100000000000000, 1000000000000000, 10000000000000000,
+    100000000000000000, 1000000000000000000, 10000000000000000000u};
+
+static const char PAIRS[201] = /* "00" "01" ... "99" */
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The decimal digits of u, two at a time, ending just before `end`;
+ * returns where they start. */
+static char *digits_before(char *end, uint64_t u)
 {
-    char digits[INT_CELL];
-    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
-    int k = 0;
-    do {
-        digits[k++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    if (v < 0)
-        *s++ = '-';
-    while (k)
-        *s++ = digits[--k];
-    return s;
+    for (; u >= 100; u /= 100) {
+        end -= 2;
+        memcpy(end, PAIRS + 2 * (u % 100), 2);
+    }
+    if (u >= 10) {
+        end -= 2;
+        memcpy(end, PAIRS + 2 * u, 2);
+    } else {
+        *--end = (char)('0' + u);
+    }
+    return end;
 }
 
-/* Python's '{:.17g}' of every double: glibc's "%.17g" gives the same text
- * (the same shortest exponent, the same half-even ties) except for a NaN
- * with its sign bit set, which glibc writes "-nan" and Python "nan". */
+static char *put_int(char *s, int64_t v)
+{
+    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    /* the digit count: t = floor(log10 2^bits(u)) is n or n - 1, and u | 1
+     * has the same count as u and is at least 1 */
+    int t = (64 - __builtin_clzll(u | 1)) * 1233 >> 12;
+    int n = t + ((u | 1) >= POW10[t]);
+    if (v < 0)
+        *s++ = '-';
+    digits_before(s + n, u);
+    return s + n;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static u128 pow10_128(int k) /* 0 <= k <= 38 */
+{
+    return k < 20 ? POW10[k] : (u128)POW10[19] * POW10[k - 19];
+}
+
+/* "%.17g" of the double with these bits, for 2^-53 <= |x| < 2^128, by
+ * integer arithmetic. With |x| = m 2^e and E its decimal exponent,
+ * d = round-half-even(|x| 10^k) for k = 16 - E is the 17-digit significand,
+ * in [10^16, 10^17). Here -16 <= E <= 38. For k >= 0, |x| 10^k is m 5^k
+ * shifted by e + k (m 5^32 < 2^128); for k < 0, it is (m << e) / 10^-k
+ * (m << e < 2^128). */
+static char *put_exact(char *s, uint64_t bits)
+{
+    int b = (int)(bits >> 52 & 0x7ff) - 1023; /* floor(log2 |x|) */
+    uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52, d;
+    int e = b - 52;
+    /* floor(b log10 2) for -53 <= b < 128, which is E or E - 1; the value
+     * shifted is >= 0 */
+    int E = ((b * 78913 + (16 << 18)) >> 18) - 16;
+    u128 q, rem2, div; /* d rounds q up when rem2 > div, or = div and q odd */
+    for (;;) {
+        int k = 16 - E;
+        if (k >= 0) {
+            u128 v = (u128)m * (pow10_128(k) >> k); /* m 5^k */
+            int r = -(e + k);
+            if (r <= 0) {
+                q = v << -r;
+                rem2 = 0;
+                div = 1;
+            } else {
+                q = v >> r;
+                rem2 = (v - (q << r)) << 1;
+                div = (u128)1 << r;
+            }
+        } else {
+            div = pow10_128(-k);
+            u128 n = (u128)m << e;
+            q = n / div;
+            rem2 = (n - q * div) << 1;
+        }
+        if (q < POW10[17])
+            break;
+        E++; /* the estimate was one low */
+    }
+    d = (uint64_t)q + (rem2 > div || (rem2 == div && (q & 1)));
+    if (d == POW10[17]) { /* 9.99...95 rounds to the next power of ten */
+        d = POW10[16];
+        E++;
+    }
+    char dg[17];
+    digits_before(dg + 17, d);
+    int n = 17;
+    while (dg[n - 1] == '0')
+        n--;
+    if (bits >> 63)
+        *s++ = '-';
+    if (E < -4 || E >= 17) { /* d.ddde+XX, two exponent digits */
+        *s++ = dg[0];
+        if (n > 1) {
+            *s++ = '.';
+            memcpy(s, dg + 1, (size_t)n - 1);
+            s += n - 1;
+        }
+        *s++ = 'e';
+        *s++ = E < 0 ? '-' : '+';
+        memcpy(s, PAIRS + 2 * (E < 0 ? -E : E), 2);
+        return s + 2;
+    }
+    if (E < 0) { /* 0.000ddd */
+        memcpy(s, "0.000", (size_t)(1 - E));
+        s += 1 - E;
+        memcpy(s, dg, (size_t)n);
+        return s + n;
+    }
+    if (n <= E + 1) { /* a whole number: ddd000 */
+        memcpy(s, dg, (size_t)n);
+        memset(s + n, '0', (size_t)(E + 1 - n));
+        return s + E + 1;
+    }
+    memcpy(s, dg, (size_t)E + 1); /* ddd.ddd */
+    s[E + 1] = '.';
+    memcpy(s + E + 2, dg + E + 1, (size_t)(n - E - 1));
+    return s + n + 1;
+}
+#endif
+
+/* Python's '{:.17g}' of every double. put_exact writes the reals of
+ * 2^-53 <= |x| < 2^128 and glibc's "%.17g" the others. glibc gives the
+ * same text as Python (the same shortest exponent, the same half-even
+ * ties) except for a NaN with its sign bit set, which glibc writes "-nan"
+ * and Python "nan". */
 static char *put_real(char *s, double x)
 {
     if (isnan(x)) {
@@ -422,6 +546,13 @@ static char *put_real(char *s, double x)
         *s++ = 'n';
         return s;
     }
+#ifdef __SIZEOF_INT128__
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    unsigned biased = (unsigned)(bits >> 52 & 0x7ff);
+    if (biased >= 1023 - 53 && biased < 1023 + 128)
+        return put_exact(s, bits);
+#endif
     return s + snprintf(s, REAL_CELL + 1, "%.17g", x);
 }
 

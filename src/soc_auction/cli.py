@@ -7,8 +7,10 @@ given the configuration and seed; reruns produce byte-identical CSV bodies.
 Every CSV cell follows one rule (in `_write_csv`): reals at 17 significant
 digits, which round-trips doubles losslessly; integers bare; an empty cell
 where no sale fired. When the C kernel loads it formats the cells of float64
-and int64 columns, with the same bytes as the Python rule of `_cells`; it
-writes them in the "C" locale, so `LC_NUMERIC` cannot change them.
+and int64 columns, with the same bytes as the Python rule of `_cells`. It
+rounds reals of magnitude 2**-53 to 2**128 (about 1.1e-16 to 3.4e38) to 17
+digits in exact integer arithmetic, and writes other reals with C's
+`snprintf` in the "C" locale, so `LC_NUMERIC` cannot change any cell.
 """
 
 from __future__ import annotations

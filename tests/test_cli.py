@@ -137,6 +137,20 @@ _SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                      # NaNs with a payload, the second with its sign bit
                      *_as_doubles([0x7FF8000000000001, -0x0007FFFFFFFFFFFF])])
 _LONGEST = np.full(CSV_BLOCK_ROWS, -2.2250738585072014e-308)  # 24 bytes
+# the kernel writes 2**-53 <= |x| < 2**128 by integer arithmetic and hands
+# the rest to snprintf: each end of that range, and one ulp past each
+_EXACT_ENDS = np.array([2.0**-53, np.nextafter(2.0**-53, 0),
+                        np.nextafter(2.0**128, 0), 2.0**128])
+# whole numbers, 40 ulps either side of 2**53, 1e16, 1e17 and 2**64
+_WHOLE = _as_doubles(np.array([2.0**53, 1e16, 1e17, 2.0**64]).view(np.int64)[:, None]
+                     + np.arange(-40, 41)).ravel()
+# doubles just below a power of ten that their 17 digits round up to
+_CARRIES = np.array([v for v in _as_doubles(
+    np.array([float(f"1e{e}") for e in range(-323, 309)]).view(np.int64)[:, None]
+    - np.arange(3)).ravel()
+    if Decimal(v) < (t := Decimal(f"{v:.17g}")) and t.normalize().as_tuple().digits == (1,)])
+_SIGNED_LOGNORMAL = (np.random.default_rng(1).lognormal(0, 3, 10**4)
+                     * np.random.default_rng(2).choice([-1.0, 1.0], 10**4))
 
 
 @needs_kernel
@@ -156,6 +170,10 @@ _LONGEST = np.full(CSV_BLOCK_ROWS, -2.2250738585072014e-308)  # 24 bytes
 @example(columns={"x": np.linspace(0, 1, CSV_BLOCK_ROWS + 1),
                   "i": np.ma.array(np.arange(CSV_BLOCK_ROWS + 1),
                                    mask=np.arange(CSV_BLOCK_ROWS + 1) % 3 == 0)})
+@example(columns={"ends": _EXACT_ENDS, "neg": -_EXACT_ENDS})
+@example(columns={"whole": _WHOLE, "neg": -_WHOLE})
+@example(columns={"carry": np.concatenate([_CARRIES, -_CARRIES])})
+@example(columns={"x": _SIGNED_LOGNORMAL})
 def test_kernel_csv_rows_equal_python_cells(columns):
     with tempfile.TemporaryDirectory() as d:
         fast, slow = Path(d) / "c.csv", Path(d) / "py.csv"
