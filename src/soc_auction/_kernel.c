@@ -1,13 +1,27 @@
 /* The compiled kernels of soc_auction, loaded by soc_auction._kernel.
  *
- * fold: the selling rule of engine._fold over a whole run. heap[0..m) is a
- * binary max-heap of 0-based arrival indices into p, ordered by price and,
- * among equal prices, by earlier arrival: the (-price, index) order of the
- * Python fold. `armed` says whether a lower arrival may execute the maximum:
- * the classic rule never clears it; the two-consecutive rule sets it after
- * each arrival to whether that arrival is strictly below the pool maximum.
- * Every arrival joins the pool and every sale leaves it, so the pool ends as
- * heap[0..n - sales). Returns the number of sales.
+ * fold: the selling rule of engine._fold over a whole run. The pool is the
+ * 0-based arrival indices into p not yet sold, ordered by price and, among
+ * equal prices, by earlier arrival: the (-price, index) order of the Python
+ * fold. It is split at a threshold entry t. A binary max-heap h[0..m)
+ * holds the entries at or above t, so its root is the pool maximum; the
+ * unsorted bucket pool[0..b) holds the rest. An arrival joins the heap only
+ * if its price is above t's (it arrives after t, so a tie puts it below).
+ * Bids below the critical price freeze in the bucket and are never sifted.
+ * When a push brings the heap to CAP entries, quickselect keeps its top
+ * quarter, the threshold rises to the last of them, and the rest spill into
+ * the bucket. When a sale empties the heap, it refills with the larger of
+ * the bucket's top eighth and CAP / 4 entries, and the threshold falls to
+ * the last of them: the refill grows with the bucket, so no run folds in
+ * quadratic time. After a refill the heap may outgrow CAP; it raises again
+ * only when a push brings it to CAP, and h (n entries, from the caller)
+ * holds it however large it grows.
+ * `armed` says whether a lower arrival may execute the maximum: the classic
+ * rule never clears it; the two-consecutive rule sets it after each arrival
+ * to whether that arrival is strictly below the pool maximum. Every arrival
+ * joins the pool and every sale leaves it, so the pool ends, in no order,
+ * as pool[0..n - sales): the bucket, then the heap. Returns the number of
+ * sales.
  *
  * exact_sum: CPython's math.fsum over a double array, bit for bit.
  *
@@ -35,39 +49,129 @@
 #include <stdio.h>
 #include <string.h>
 
+/* Is entry a ahead of entry b in the pool: a higher price, or an equal
+ * price that arrived earlier? */
 static int above(const double *p, int64_t a, int64_t b)
 {
     return p[a] > p[b] || (p[a] == p[b] && a < b);
 }
 
+/* Put entry x at slot k of the heap h[0..m) and let it sink. */
+static inline void sink(const double *p, int64_t *h, int64_t m, int64_t k, int64_t x)
+{
+    int64_t c;
+    for (; (c = 2 * k + 1) < m; k = c) {
+        if (c + 1 < m && above(p, h[c + 1], h[c]))
+            c++;
+        if (!above(p, h[c], x))
+            break;
+        h[k] = h[c];
+    }
+    h[k] = x;
+}
+
+static void heapify(const double *p, int64_t *h, int64_t m)
+{
+    int64_t k;
+    for (k = m / 2; k-- > 0;)
+        sink(p, h, m, k, h[k]);
+}
+
+/* Reorder a[0..len) so that a[0..k) are its k entries furthest ahead
+ * (0 < k <= len) and a[k - 1] the last of them: Hoare's selection, with the
+ * median of the first, middle and last entries as each pivot. */
+static void select_top(const double *p, int64_t *a, int64_t len, int64_t k)
+{
+    int64_t lo = 0, hi = len - 1, i, j, mid, x, t;
+#define SWAP(u, v) (t = (u), (u) = (v), (v) = t)
+    while (lo < hi) {
+        mid = lo + (hi - lo) / 2;
+        if (above(p, a[mid], a[lo]))
+            SWAP(a[mid], a[lo]);
+        if (above(p, a[hi], a[lo]))
+            SWAP(a[hi], a[lo]);
+        if (above(p, a[hi], a[mid]))
+            SWAP(a[hi], a[mid]);
+        x = a[mid];
+        for (i = lo, j = hi; i <= j; i++, j--) {
+            while (above(p, a[i], x))
+                i++;
+            while (above(p, x, a[j]))
+                j--;
+            if (i > j)
+                break;
+            SWAP(a[i], a[j]);
+        }
+        /* a[lo..i) are not behind x, a(j..hi] not ahead of it */
+        if (k - 1 <= j)
+            hi = j;
+        else if (k - 1 >= i)
+            lo = i;
+        else
+            break;
+    }
+#undef SWAP
+}
+
+#define CAP 4096 /* the heap size at which the threshold rises */
+
 int64_t fold(const double *p, int64_t n, int two_consecutive,
              double *sale_price, int64_t *accepted, int64_t *trigger,
-             int64_t *heap)
+             int64_t *pool, int64_t *h)
 {
-    int64_t m = 0, s = 0, i, k, c;
+    int64_t m = 0, b = 0, s = 0, i, k, j, x;
+    double tp = 0.0; /* the threshold entry's price; every price is > 0 */
     int armed = 1;
     for (i = 0; i < n; i++) {
-        if (armed && m && p[i] < p[heap[0]]) {
-            sale_price[s] = p[heap[0]];
-            accepted[s] = heap[0] + 1;
+        if (armed && m && p[i] < p[h[0]]) {
+            sale_price[s] = p[h[0]];
+            accepted[s] = h[0] + 1;
             trigger[s++] = i + 1;
-            /* the arrival takes the sold maximum's place and sinks */
-            for (k = 0; (c = 2 * k + 1) < m; k = c) {
-                if (c + 1 < m && above(p, heap[c + 1], heap[c]))
-                    c++;
-                if (!above(p, heap[c], i))
-                    break;
-                heap[k] = heap[c];
+            /* the arrival takes the sold maximum's place and sinks; one
+             * below the threshold goes to the bucket, and the heap's last
+             * entry sinks in its stead */
+            x = i;
+            if (p[i] <= tp) {
+                pool[b++] = i;
+                x = h[--m];
+            }
+            if (m) {
+                sink(p, h, m, 0, x);
+            } else {
+                /* refill: the larger of the bucket's top eighth and
+                 * CAP / 4 */
+                k = b / 8 > CAP / 4 ? b / 8 : CAP / 4;
+                k = k < b ? k : b;
+                select_top(p, pool, b, k);
+                memcpy(h, pool, (size_t)k * sizeof *h);
+                for (j = 0; j < k && j < b - k; j++)
+                    pool[j] = pool[b - 1 - j];
+                b -= k;
+                m = k;
+                tp = p[h[m - 1]];
+                heapify(p, h, m);
+            }
+        } else if (p[i] > tp) {
+            /* the arrival joins the heap at the bottom and rises */
+            for (k = m++; k && above(p, i, h[(k - 1) / 2]); k = (k - 1) / 2)
+                h[k] = h[(k - 1) / 2];
+            h[k] = i;
+            if (m == CAP) {
+                /* raise: keep the top quarter, spill the rest */
+                select_top(p, h, m, CAP / 4);
+                memcpy(pool + b, h + CAP / 4, (CAP - CAP / 4) * sizeof *h);
+                b += CAP - CAP / 4;
+                m = CAP / 4;
+                tp = p[h[m - 1]];
+                heapify(p, h, m);
             }
         } else {
-            /* the arrival joins at the bottom and rises */
-            for (k = m++; k && above(p, i, heap[(k - 1) / 2]); k = (k - 1) / 2)
-                heap[k] = heap[(k - 1) / 2];
+            pool[b++] = i;
         }
-        heap[k] = i;
         if (two_consecutive)
-            armed = p[i] < p[heap[0]];
+            armed = p[i] < p[h[0]];
     }
+    memcpy(pool + b, h, (size_t)m * sizeof *h);
     return s;
 }
 

@@ -31,7 +31,7 @@ def load():
 
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     entries = {  # name: (argtypes, restype)
-        "fold": ([ptr, i64, ctypes.c_int, ptr, ptr, ptr, ptr], i64),
+        "fold": ([ptr, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr], i64),
         "exact_sum": ([ptr, i64], ctypes.c_double),
         "ndtri": ([ptr, ptr, i64], None),
         "ndtr": ([ptr, ptr, i64], None),

@@ -29,7 +29,8 @@ import enum
 import heapq
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,8 +72,8 @@ class AuctionEngine:
     fed bid by bid gives the same sales and pool as the whole-list fold.
     Counts and income derive from the pool and the sale prices: each read
     of `total_income` sums the sales with `run_sequence`'s `_total_income`
-    (same bits; past the largest double, its ValueError), ~25 ms per 1.26e6
-    sales on a 2-core Xeon (~0.1 s without the C kernel). A sale keeps 8 B.
+    (same bits; past the largest double, its ValueError), ~10 ms per 1.26e6
+    sales on a 2-core Xeon (~55 ms without the C kernel). A sale keeps 8 B.
     """
 
     def __init__(self, rule: Rule | str = Rule.CLASSIC):
@@ -135,6 +136,11 @@ class RunResult:
     Arrays only, so multi-million-bid runs stay cheap. `ntilde[k-1]` is the
     number of sales after the k-th arrival; `run_sequence` fills it only
     when called with collect_trajectory=True and leaves it empty otherwise.
+    The unsold pool is kept as the fold leaves it, 0-based indices into the
+    validated prices in no order; `remaining_indices` (1-based, in arrival
+    order) and `remaining_prices` are built from it on first read. Those
+    prices are the array the run was given, when it was already a
+    contiguous float64 vector, so change it in place only after that read.
     """
 
     rule: Rule
@@ -143,9 +149,9 @@ class RunResult:
     accepted_indices: np.ndarray
     trigger_indices: np.ndarray
     ntilde: np.ndarray
-    remaining_prices: np.ndarray
-    remaining_indices: np.ndarray
     total_income: float
+    _prices: np.ndarray = field(repr=False)
+    _pool: np.ndarray = field(repr=False)
 
     @property
     def n_sales(self) -> int:
@@ -154,6 +160,14 @@ class RunResult:
     @property
     def sales_fraction(self) -> float:
         return self.n_sales / self.n_bids if self.n_bids else 0.0
+
+    @cached_property
+    def remaining_indices(self) -> np.ndarray:
+        return np.sort(self._pool) + 1
+
+    @cached_property
+    def remaining_prices(self) -> np.ndarray:
+        return self._prices[self.remaining_indices - 1]
 
 
 def _validate_prices(prices) -> np.ndarray:
@@ -199,20 +213,22 @@ def _fold(pl, heap: list[tuple[float, int]], armed: bool, i: int,
 
 
 def _fold_run(arr: np.ndarray, two_consecutive: bool):
-    """The sales of a whole run and its pool as sorted 0-based indices:
+    """The sales of a whole run and its pool as 0-based indices in no order:
     from the C kernel when it loads, else from `_fold`."""
     n = len(arr)
     kernel = _kernel.load()
     if kernel:
         sale_p = np.empty(n)
-        acc, trig, heap = (np.empty(n, dtype=np.int64) for _ in range(3))
+        # `heap` holds the kernel's binary heap; it touches past 4096
+        # entries only after a refill
+        acc, trig, pool, heap = (np.empty(n, dtype=np.int64) for _ in range(4))
         s = kernel.fold(arr.ctypes.data, n, two_consecutive,
                         sale_p.ctypes.data, acc.ctypes.data, trig.ctypes.data,
-                        heap.ctypes.data)
-        return sale_p[:s], acc[:s], trig[:s], np.sort(heap[:n - s])
+                        pool.ctypes.data, heap.ctypes.data)
+        return sale_p[:s], acc[:s], trig[:s], pool[:n - s]
     entries: list[tuple[float, int]] = []
     sale_p, acc, trig, _ = _fold(arr.tolist(), entries, True, 0, two_consecutive)
-    pool = np.sort(np.array([j for _, j in entries], dtype=np.int64)) - 1
+    pool = np.array([j for _, j in entries], dtype=np.int64) - 1
     return (np.array(sale_p, dtype=float), np.array(acc, dtype=np.int64),
             np.array(trig, dtype=np.int64), pool)
 
@@ -243,9 +259,9 @@ def run_sequence(rule: Rule | str, prices, *,
     """Fold the selling rule over an ordered price list.
 
     Equivalent to submitting each price to a fresh AuctionEngine. The two
-    comparison rules fold in the C kernel (a 2e6-bid run in about 0.1 s on
+    comparison rules fold in the C kernel (a 2e6-bid run in about 0.09 s on
     a 2-core Xeon), or in the Python heap fold `_fold` when no kernel can
-    be built (about 2 s); both give the same outputs. `total_income` is the
+    be built (2–3 s); both give the same outputs. `total_income` is the
     exactly rounded sum of the sale prices, the value `math.fsum` gives, in
     both; a sum past the largest double is a ValueError. `ntilde` is built
     only when collect_trajectory is true.
@@ -263,8 +279,7 @@ def run_sequence(rule: Rule | str, prices, *,
         rule=rule, n_bids=n, sale_prices=sale_p, accepted_indices=acc,
         trigger_indices=trig,
         ntilde=_ntilde(trig, n) if collect_trajectory else np.empty(0, dtype=np.int64),
-        remaining_prices=arr[pool], remaining_indices=pool + 1,
-        total_income=_total_income(sale_p),
+        total_income=_total_income(sale_p), _prices=arr, _pool=pool,
     )
 
 
@@ -274,7 +289,8 @@ def oracle_run(rule: Rule | str, prices) -> RunResult:
     shares no max-retrieval code with run_sequence.
     """
     rule = Rule(rule)
-    pl = _validate_prices(prices).tolist()
+    arr = _validate_prices(prices)
+    pl = arr.tolist()
     n = len(pl)
     ntilde = np.empty(n, dtype=np.int64)
 
@@ -309,14 +325,12 @@ def oracle_run(rule: Rule | str, prices) -> RunResult:
             prev_price = x
         ntilde[i - 1] = len(sale_p)
 
-    rem.sort(key=lambda t: t[1])
     return RunResult(
         rule=rule, n_bids=n,
         sale_prices=np.asarray(sale_p, dtype=float),
         accepted_indices=np.asarray(acc, dtype=np.int64),
         trigger_indices=np.asarray(trig, dtype=np.int64),
         ntilde=ntilde,
-        remaining_prices=np.array([p for p, _ in rem], dtype=float),
-        remaining_indices=np.array([j for _, j in rem], dtype=np.int64),
         total_income=math.fsum(sale_p),
+        _prices=arr, _pool=np.array([j - 1 for _, j in rem], dtype=np.int64),
     )

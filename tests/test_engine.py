@@ -10,22 +10,29 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from soc_auction import (AuctionEngine, Bid, LogNormal, Rule, RunResult,
-                         SaleRecord, SeedSpec, _kernel, oracle_run, quantile,
-                         run_sequence, sample, uniform_stream)
+from soc_auction import (AuctionEngine, Bid, LogNormal, Pareto, Rule,
+                         RunResult, SaleRecord, SeedSpec, Uniform, _kernel,
+                         oracle_run, quantile, run_sequence, sample,
+                         uniform_stream)
 
 from conftest import needs_kernel
 
 WORKED_PRICES = [14, 15, 18, 13, 16, 12, 10]
 
 
+# the public fields, and the pool built on first read from the private one
+RUN_ATTRS = (*(f.name for f in dataclasses.fields(RunResult)
+               if not f.name.startswith("_")),
+             "remaining_prices", "remaining_indices")
+
+
 def assert_same_run(a: RunResult, b: RunResult) -> None:
-    for f in dataclasses.fields(RunResult):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+    for name in RUN_ATTRS:
+        x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
         else:
-            assert x == y, f.name
+            assert x == y, name
 
 
 def test_worked_example_classic():
@@ -141,6 +148,39 @@ def test_engine_matches_run_sequence():
         assert eng.remaining_prices().tolist() == res.remaining_prices.tolist()
 
 
+def test_pool_reads_repeat_with_their_dtypes(backend):
+    prices = sample(LogNormal(0, 0.3), SeedSpec(53, 0), 20_000)
+    for rule in Rule:
+        res = run_sequence(rule, prices)
+        first = res.remaining_prices, res.remaining_indices
+        assert first[0].dtype == np.float64 and first[1].dtype == np.int64
+        for x, y in zip(first, (res.remaining_prices, res.remaining_indices)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_run_result_pickles_before_and_after_its_first_read(backend):
+    prices = sample(LogNormal(0, 0.3), SeedSpec(59, 0), 20_000)
+    for rule in Rule:
+        res = run_sequence(rule, prices)
+        unread = pickle.loads(pickle.dumps(res))
+        res.remaining_indices
+        read = pickle.loads(pickle.dumps(res))
+        assert_same_run(unread, res)
+        assert_same_run(read, res)
+
+
+def test_pool_is_the_engine_pool_past_the_heap_cap(backend):
+    prices = sample(LogNormal(0, 0.3), SeedSpec(61, 0), 20_000)
+    for rule in Rule:
+        eng = AuctionEngine(rule)
+        for p in prices:
+            eng.submit_bid(p)
+        res = run_sequence(rule, prices)
+        assert eng.remaining_bids() == [
+            Bid(j, x) for j, x in zip(res.remaining_indices.tolist(),
+                                      res.remaining_prices.tolist())]
+
+
 def test_submit_rejects_nonpositive_price_without_state_change():
     eng = AuctionEngine(Rule.CLASSIC)
     eng.submit_bid(2.0)
@@ -200,7 +240,7 @@ def test_sale_dominance_and_trigger_order():
 
 
 def test_rank_invariance_small():
-    from soc_auction import Exponential, Uniform
+    from soc_auction import Exponential
     u = uniform_stream(SeedSpec(19, 0), 3000)
     base = run_sequence(Rule.CLASSIC, quantile(LogNormal(0, 0.3), u))
     for m in (Uniform(0, 1), Exponential(1.0)):
@@ -342,13 +382,58 @@ def test_engine_income_is_run_sequence_income(backend, prices):
                 == income_or_error(lambda: run_sequence(rule, prices).total_income))
 
 
+def python_fold(rule, prices) -> RunResult:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        return run_sequence(rule, prices)
+
+
 @needs_kernel
 @pytest.mark.parametrize("rule", [Rule.CLASSIC, Rule.TWO_CONSECUTIVE])
-def test_kernel_matches_python_fold(rule, monkeypatch):
-    prices = sample(LogNormal(0, 0.3), SeedSpec(37, 0), 200_000)
-    fast = run_sequence(rule, prices)
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    assert_same_run(fast, run_sequence(rule, prices))
+def test_kernel_matches_python_fold(rule):
+    # the paper's law, a heavy tail and a bounded one
+    for model, seed in ((LogNormal(0, 0.3), 37), (Pareto(1.0, 1.5), 43),
+                        (Uniform(0.0, 1.0), 47)):
+        prices = sample(model, SeedSpec(seed, 0), 200_000)
+        assert_same_run(run_sequence(rule, prices), python_fold(rule, prices))
+
+
+def block_prices(seed: int, n: int, ties: bool) -> list[float]:
+    """Rising, falling and noisy blocks around a drifting level; with `ties`,
+    on a grid of quarters."""
+    rng = np.random.default_rng(seed)
+    blocks, level, size = [], 0.0, 0
+    while size < n:
+        k = int(rng.integers(10, 3000))
+        level += rng.normal(0, 0.3)
+        kind = rng.integers(3)
+        if kind == 2:
+            x = level + rng.normal(0, 0.5, k)
+        else:
+            x = level + (1 - 2 * kind) * np.linspace(0, rng.uniform(0, 2), k)
+        blocks.append(x)
+        size += k
+    prices = np.exp(np.concatenate(blocks)[:n])
+    if ties:
+        prices = np.round(prices * 4) / 4 + 0.25
+    return prices.tolist()
+
+
+# the kernel's heap holds the entries at or above a threshold entry and
+# raises it at 4096 entries; past a few thousand bids these runs raise it,
+# spill below it and refill from the bucket, at ties too
+_block_runs = st.builds(block_prices, st.integers(0, 2**32 - 1),
+                        st.integers(5_000, 40_000), st.booleans())
+
+
+@needs_kernel
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(prices=_block_runs)
+@example(prices=[2.5] * 20_000)
+@example(prices=[*range(1, 20_001), *range(20_000, 0, -1)])  # rise, then fall
+def test_kernel_fold_past_its_heap_cap_matches_python_fold(prices):
+    for rule in (Rule.CLASSIC, Rule.TWO_CONSECUTIVE):
+        assert_same_run(run_sequence(rule, prices), python_fold(rule, prices))
 
 
 def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):
