@@ -259,7 +259,7 @@ def run_sequence(rule: Rule | str, prices, *,
     """Fold the selling rule over an ordered price list.
 
     Equivalent to submitting each price to a fresh AuctionEngine. The two
-    comparison rules fold in the C kernel (a 2e6-bid run in about 0.09 s on
+    comparison rules fold in the C kernel (a 2e6-bid run in about 0.05 s on
     a 2-core Xeon), or in the Python heap fold `_fold` when no kernel can
     be built (2–3 s); both give the same outputs. `total_income` is the
     exactly rounded sum of the sale prices, the value `math.fsum` gives, in

@@ -396,6 +396,13 @@ def test_kernel_matches_python_fold(rule):
                         (Uniform(0.0, 1.0), 47)):
         prices = sample(model, SeedSpec(seed, 0), 200_000)
         assert_same_run(run_sequence(rule, prices), python_fold(rule, prices))
+    # the paper's law at the replica ladder's sizes, where the kernel's top
+    # stack shifts most
+    for n in (1000, 2000, 5000):
+        for replica in range(30):
+            prices = sample(LogNormal(0, 0.3), SeedSpec(53, replica), n)
+            assert_same_run(run_sequence(rule, prices),
+                            python_fold(rule, prices))
 
 
 def block_prices(seed: int, n: int, ties: bool) -> list[float]:
@@ -419,9 +426,10 @@ def block_prices(seed: int, n: int, ties: bool) -> list[float]:
     return prices.tolist()
 
 
-# the kernel's heap holds the entries at or above a threshold entry and
-# raises it at 4096 entries; past a few thousand bids these runs raise it,
-# spill below it and refill from the bucket, at ties too
+# the kernel holds the entries at or above a threshold entry in its top
+# stack and a heap behind it, and raises the threshold when the heap reaches
+# 4096 entries; past a few thousand bids these runs raise it, spill below it
+# and refill from the bucket, at ties too
 _block_runs = st.builds(block_prices, st.integers(0, 2**32 - 1),
                         st.integers(5_000, 40_000), st.booleans())
 
@@ -432,6 +440,59 @@ _block_runs = st.builds(block_prices, st.integers(0, 2**32 - 1),
 @example(prices=[2.5] * 20_000)
 @example(prices=[*range(1, 20_001), *range(20_000, 0, -1)])  # rise, then fall
 def test_kernel_fold_past_its_heap_cap_matches_python_fold(prices):
+    for rule in (Rule.CLASSIC, Rule.TWO_CONSECUTIVE):
+        assert_same_run(run_sequence(rule, prices), python_fold(rule, prices))
+
+
+_TOP = 64  # the capacity of the kernel fold's top stack (TOP in _kernel.c)
+
+
+def stack_prices(segments, step: float) -> list[float]:
+    """Segments on a grid of `step`, each starting where the last one ended:
+    a rise of `a` steps (for "flat", `a` equal prices), then a descent of `c`
+    steps from its last price; `c` teeth of a sawtooth of period `a`; or `a`
+    prices within 8 steps of the level, drawn with seed `c`."""
+    units, level = [], 0
+    for kind, a, c in segments:
+        if kind in ("rise", "flat"):
+            part = [level + k * (kind == "rise") for k in range(a)]
+            part += [part[-1] - k for k in range(c)]
+        elif kind == "saw":
+            part = [*range(level, level + a)] * c
+        else:
+            part = (level + np.random.default_rng(c).integers(-8, 9, a)).tolist()
+        units += part
+        level = part[-1]
+    low = min(units)
+    return [(u - low + 1) * step for u in units]
+
+
+# rises and flat runs of the stack's capacity and around it fill it and
+# spill its bottom into the heap, the longest until the heap's threshold
+# rises; the descents sell from the stack, insert into it and drain it into
+# the heap; on the coarse grid, arrivals tie with the stack's entries, its
+# bottom entry and the heap's root
+_stack_runs = st.builds(
+    stack_prices,
+    st.lists(st.one_of(
+        st.tuples(st.sampled_from(["rise", "flat"]),
+                  st.sampled_from([_TOP - 1, _TOP, _TOP + 1, 2 * _TOP,
+                                   5 * _TOP + 1, 70 * _TOP]),
+                  st.integers(0, 3 * _TOP)),
+        st.tuples(st.just("saw"), st.integers(2, 3 * _TOP), st.integers(1, 12)),
+        st.tuples(st.just("ties"), st.integers(1, 4 * _TOP),
+                  st.integers(0, 2**32 - 1))), min_size=1, max_size=10),
+    st.sampled_from([1.0, 0.25, 3.0]))
+
+
+@needs_kernel
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(prices=_stack_runs)
+# a rise past the heap's cap, then random low prices: the slowest input
+# measured for the fold
+@example(prices=[*range(1, 5_001),
+                 *np.random.default_rng(0).uniform(0.1, 1.0, 5_000).tolist()])
+def test_kernel_fold_top_stack_matches_python_fold(prices):
     for rule in (Rule.CLASSIC, Rule.TWO_CONSECUTIVE):
         assert_same_run(run_sequence(rule, prices), python_fold(rule, prices))
 
