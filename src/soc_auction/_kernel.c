@@ -8,23 +8,26 @@
  * ascending order, and a binary max-heap h[0..m) of the rest. Every stack
  * entry ranks above the heap's root, so the pool maximum is st[ns - 1], or
  * h[0] when the stack is empty. The unsorted bucket pool[0..b) holds the
- * entries below t. A sale pops the stack's top; only with an empty stack
- * does it sell the heap's root, whose place the arrival takes. An arrival
- * at or below t's price goes to the bucket (it arrives after t, so a tie
- * puts it below); bids below the critical price freeze there and are never
- * sifted. An arrival above it joins the stack, by an insertion from the top
- * (a new maximum is a push), when it ranks above the heap's root; else it
- * joins the heap. A full stack spills its bottom entry into the heap when
- * the arrival ranks above that entry, and passes the arrival to the heap
- * when it does not. When a push brings the heap to CAP entries, quickselect
- * keeps its top quarter, the threshold rises to the last of them, and the
- * rest spill into the bucket. When a sale leaves both the stack and the
- * heap empty, the heap refills with the larger of the bucket's top eighth
- * and CAP / 4 entries, and the threshold falls to the last of them: the
- * refill grows with the bucket, so no run folds in quadratic time. After a
- * refill the heap may outgrow CAP; it raises again only when a push brings
- * it to CAP, and h (n entries, from the caller) holds it however large it
- * grows.
+ * entries below t. Each arrival takes three steps:
+ * - sell: when the rule fires, the pool maximum leaves: the stack's top, or
+ *   else the heap's root, whose place the heap's last entry takes and sinks.
+ * - place: an arrival at or below t's price goes to the bucket (it arrives
+ *   after t, so a tie puts it below); bids below the critical price freeze
+ *   there and are never sifted. An arrival above it joins the stack, by an
+ *   insertion from the top (a new maximum is a push), when it ranks above
+ *   the heap's root; else it joins the heap. A full stack spills its bottom
+ *   entry into the heap when the arrival ranks above that entry, and passes
+ *   the arrival to the heap when it does not.
+ * - rebalance: a push that brings the heap to CAP entries spills the whole
+ *   heap into the bucket and takes back its top quarter, so the threshold
+ *   rises; when a sale empties the stack and the heap and the arrival goes
+ *   to the bucket, the heap takes the larger of the bucket's top eighth
+ *   and CAP / 4 entries, so it falls. Either way select_top moves the top
+ *   k of the bucket's last len entries into the heap, and t becomes the
+ *   last of them. The refill grows with the bucket, so no run folds in
+ *   quadratic time. After a refill the heap may outgrow CAP; it raises
+ *   again only when a push brings it to CAP, and h (n entries, from the
+ *   caller) holds it however large it grows.
  * `armed` says whether a lower arrival may execute the maximum: the classic
  * rule never clears it; the two-consecutive rule sets it after each arrival
  * to whether that arrival is strictly below the pool maximum. Every arrival
@@ -88,7 +91,10 @@ static void heapify(const double *p, int64_t *h, int64_t m)
 
 /* Reorder a[0..len) so that a[0..k) are its k entries furthest ahead
  * (0 < k <= len) and a[k - 1] the last of them: Hoare's selection, with the
- * median of the first, middle and last entries as each pivot. */
+ * median of the first, middle and last entries as each pivot. It stays out
+ * of line: inlined into fold, its one caller, it made the runs that refill
+ * most (a rise then a fall) about 8% slower. */
+__attribute__((noinline))
 static void select_top(const double *p, int64_t *a, int64_t len, int64_t k)
 {
     int64_t lo = 0, hi = len - 1, i, j, mid, x, t;
@@ -132,81 +138,63 @@ int64_t fold(const double *p, int64_t n, int two_consecutive,
     /* the top stack st[0..ns) slides up buf: a spill advances st, and a
      * push that meets buf's end moves the stack back to its start, at most
      * once per TOP pushes */
-    int64_t buf[2 * TOP], *st = buf;
-    int64_t m = 0, b = 0, ns = 0, s = 0, i, k, j, x;
+    int64_t buf[2 * TOP], *st = buf, *a;
+    int64_t m = 0, b = 0, ns = 0, s = 0, len, i, k, j, x;
     double tp = 0.0; /* the threshold entry's price; every price is > 0 */
     int armed = 1;
     for (i = 0; i < n; i++) {
-        if (armed && !ns && m && p[i] < p[h[0]]) {
-            sale_price[s] = p[h[0]];
-            accepted[s] = h[0] + 1;
+        x = ns ? st[ns - 1] : m ? h[0] : -1; /* the pool maximum, if any */
+        if (armed && x >= 0 && p[i] < p[x]) { /* sell */
+            if (ns)
+                ns--;
+            else if (--m)
+                sink(p, h, m, 0, h[m]);
+            sale_price[s] = p[x];
+            accepted[s] = x + 1;
             trigger[s++] = i + 1;
-            /* the stack is empty: the arrival takes the sold root's place
-             * and sinks; one at or below the threshold goes to the bucket,
-             * and the heap's last entry sinks in its stead */
-            x = i;
-            if (p[i] <= tp) {
-                pool[b++] = i;
-                x = h[--m];
-            }
-            if (m)
-                sink(p, h, m, 0, x);
-        } else {
-            if (armed && ns && p[i] < p[st[ns - 1]]) {
-                /* sell the stack's top, then place the arrival */
-                x = st[--ns];
-                sale_price[s] = p[x];
-                accepted[s] = x + 1;
-                trigger[s++] = i + 1;
-            }
-            x = i; /* the entry that joins the heap, if any */
-            if (p[i] <= tp) {
-                pool[b++] = i;
-                x = -1;
-            } else if ((!m || p[i] > p[h[0]]) &&
-                       (ns < TOP || p[i] > p[st[0]])) {
-                /* it ranks above the heap's root: it joins the stack, and
-                 * a full stack's bottom entry joins the heap in its stead */
-                x = -1;
-                if (ns == TOP) {
-                    x = *st++;
-                    ns--;
-                }
-                if (st + ns == buf + 2 * TOP) {
-                    memmove(buf, st, (size_t)ns * sizeof *st);
-                    st = buf;
-                }
-                for (j = ns++; j && above(p, st[j - 1], i); j--)
-                    st[j] = st[j - 1];
-                st[j] = i;
-            }
-            if (x >= 0) {
-                /* x joins the heap at the bottom and rises */
-                for (k = m++; k && above(p, x, h[(k - 1) / 2]);
-                     k = (k - 1) / 2)
-                    h[k] = h[(k - 1) / 2];
-                h[k] = x;
-                if (m == CAP) {
-                    /* raise: keep the top quarter, spill the rest */
-                    select_top(p, h, m, CAP / 4);
-                    memcpy(pool + b, h + CAP / 4,
-                           (CAP - CAP / 4) * sizeof *h);
-                    b += CAP - CAP / 4;
-                    m = CAP / 4;
-                    tp = p[h[m - 1]];
-                    heapify(p, h, m);
-                }
-            }
         }
-        if (!ns && !m) {
-            /* a sale emptied the stack and the heap: refill the heap with
-             * the larger of the bucket's top eighth and CAP / 4 entries */
-            k = b / 8 > CAP / 4 ? b / 8 : CAP / 4;
-            k = k < b ? k : b;
-            select_top(p, pool, b, k);
-            memcpy(h, pool, (size_t)k * sizeof *h);
-            for (j = 0; j < k && j < b - k; j++)
-                pool[j] = pool[b - 1 - j];
+        x = i; /* place; x is the entry that joins the heap, if any */
+        if (p[i] <= tp) {
+            pool[b++] = i;
+            x = -1;
+        } else if ((!m || p[i] > p[h[0]]) &&
+                   (ns < TOP || p[i] > p[st[0]])) {
+            x = -1; /* to the stack; a full stack's bottom goes to the heap */
+            if (ns == TOP) {
+                x = *st++;
+                ns--;
+            }
+            if (st + ns == buf + 2 * TOP) {
+                memmove(buf, st, (size_t)ns * sizeof *st);
+                st = buf;
+            }
+            for (j = ns++; j && above(p, st[j - 1], i); j--)
+                st[j] = st[j - 1];
+            st[j] = i;
+        }
+        if (x >= 0) {
+            for (k = m++; k && above(p, x, h[(k - 1) / 2]); k = (k - 1) / 2)
+                h[k] = h[(k - 1) / 2];
+            h[k] = x;
+        }
+        if ((x >= 0 && m == CAP) || (!ns && !m)) {
+            /* rebalance: the top k of the bucket's last len entries become
+             * the heap, the last of them the threshold, and the bucket's
+             * last entries fill the gap they leave */
+            if (m) { /* raise: spill the heap, take back a quarter */
+                memcpy(pool + b, h, CAP * sizeof *h);
+                b += len = CAP;
+                k = CAP / 4;
+            } else { /* refill */
+                len = b;
+                k = b / 8 > CAP / 4 ? b / 8 : CAP / 4;
+                k = k < b ? k : b;
+            }
+            a = pool + b - len;
+            select_top(p, a, len, k);
+            memcpy(h, a, (size_t)k * sizeof *h);
+            for (j = 0; j < k && j < len - k; j++)
+                a[j] = a[len - 1 - j];
             b -= k;
             m = k;
             tp = p[h[m - 1]];

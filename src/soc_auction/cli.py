@@ -105,27 +105,14 @@ def _kernel_rows(kernel, cols: list[np.ndarray]):
     return rows
 
 
-@contextlib.contextmanager
-def _replacing(path: Path, mode: str = "w"):
-    """Write to a temp name beside `path` and rename it onto `path` once the
-    body succeeds; on any exception remove it, so a failed write leaves no
-    file that looks complete."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Equal-length columns under their names, in dict order. The one format
     rule: reals at 17 significant digits (a lossless double round trip),
     integers bare, masked entries as empty cells. The kernel formats float64
     and int64 columns with the same bytes; any other dtype, or no kernel,
-    takes `_cells`."""
+    takes `_cells`. Every command writes `path` inside `_publishing`'s
+    staging directory, which it removes on any failure, so a failed write
+    leaves no file."""
     cols = list(columns.values())
     n = len(cols[0])
     if any(len(c) != n for c in cols):
@@ -133,7 +120,7 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
             f"{name}={len(c)}" for name, c in columns.items()))
     kernel = _kernel.load()
     rows = (kernel and _kernel_rows(kernel, cols)) or _text_rows(cols)
-    with _replacing(path, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for lo in range(0, n, CSV_BLOCK_ROWS):
             fh.write(rows(lo, min(lo + CSV_BLOCK_ROWS, n)))
@@ -145,7 +132,10 @@ def _json_text(obj: dict) -> str:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with _replacing(path) as fh:
+    """`obj` as `_json_text`. Every command writes `path` inside
+    `_publishing`'s staging directory, which it removes on any failure, so
+    a failed write leaves no file."""
+    with open(path, "w") as fh:
         fh.write(_json_text(obj))
 
 

@@ -16,7 +16,7 @@ Accept-all baseline: every bid is immediately a sale of itself.
 C kernel's `fold` (see `_kernel`), and sums the income of every rule with
 its `exact_sum`, a port of `math.fsum`. Where no kernel can be built or
 loaded it runs `_fold`, the Python heap loop, and `math.fsum`, with the
-same outputs about twenty times slower.
+same outputs about fifty times slower.
 `AuctionEngine` feeds one bid at a time through `_fold` and sums its income
 with the same `_total_income`. `oracle_run` rescans the pool at every step
 and shares no rule code with either: it is the independent reference the
@@ -219,8 +219,8 @@ def _fold_run(arr: np.ndarray, two_consecutive: bool):
     kernel = _kernel.load()
     if kernel:
         sale_p = np.empty(n)
-        # `heap` holds the kernel's binary heap; it touches past 4096
-        # entries only after a refill
+        # `heap` holds the kernel's binary heap: at most 4096 entries, except
+        # after a refill with the top eighth of a bucket of more than 32768
         acc, trig, pool, heap = (np.empty(n, dtype=np.int64) for _ in range(4))
         s = kernel.fold(arr.ctypes.data, n, two_consecutive,
                         sale_p.ctypes.data, acc.ctypes.data, trig.ctypes.data,
@@ -259,12 +259,12 @@ def run_sequence(rule: Rule | str, prices, *,
     """Fold the selling rule over an ordered price list.
 
     Equivalent to submitting each price to a fresh AuctionEngine. The two
-    comparison rules fold in the C kernel (a 2e6-bid run in about 0.05 s on
-    a 2-core Xeon), or in the Python heap fold `_fold` when no kernel can
-    be built (2–3 s); both give the same outputs. `total_income` is the
-    exactly rounded sum of the sale prices, the value `math.fsum` gives, in
-    both; a sum past the largest double is a ValueError. `ntilde` is built
-    only when collect_trajectory is true.
+    comparison rules fold in the C kernel (a 2e6-bid run in about 0.06 s on
+    a 2-core Xeon), or about fifty times slower (about 3 s) in the Python
+    heap fold `_fold` when no kernel can be built; both give the same
+    outputs. `total_income` is the exactly rounded sum of the sale prices,
+    the value `math.fsum` gives, in both; a sum past the largest double is
+    a ValueError. `ntilde` is built only when collect_trajectory is true.
     """
     rule = Rule(rule)
     arr = _validate_prices(prices)

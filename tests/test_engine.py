@@ -427,9 +427,11 @@ def block_prices(seed: int, n: int, ties: bool) -> list[float]:
 
 
 # the kernel holds the entries at or above a threshold entry in its top
-# stack and a heap behind it, and raises the threshold when the heap reaches
-# 4096 entries; past a few thousand bids these runs raise it, spill below it
-# and refill from the bucket, at ties too
+# stack and a heap behind it, and the rest in a bucket; one rebalance step
+# moves the threshold: up when a push brings the heap to 4096 entries, which
+# spill into the bucket and return their top quarter, and down when the
+# stack and the heap run empty, which refill from the bucket's top entries;
+# past a few thousand bids these runs do both, at ties too
 _block_runs = st.builds(block_prices, st.integers(0, 2**32 - 1),
                         st.integers(5_000, 40_000), st.booleans())
 
@@ -492,6 +494,17 @@ _stack_runs = st.builds(
 # measured for the fold
 @example(prices=[*range(1, 5_001),
                  *np.random.default_rng(0).uniform(0.1, 1.0, 5_000).tolist()])
+# both rebalance triggers in one run: a rise; a fall whose sales empty the
+# stack and the heap, which refill from the bucket's top eighth (~6,000
+# entries, past the heap's 4096) before later sales take the heap below
+# 4096; then a rise past the old maximum, whose new maxima spill from the
+# full stack and bring the heap back to 4096, which raises the threshold
+@example(prices=[*range(1, 50_001), *range(50_000, 39_000, -1),
+                 *range(50_001, 60_001)])
+# a shorter fall leaves the heap past 4096 entries when the rise starts: its
+# pushes grow the heap and must not raise the threshold
+@example(prices=[*range(1, 50_001), *range(50_000, 42_000, -1),
+                 *range(50_001, 55_001)])
 def test_kernel_fold_top_stack_matches_python_fold(prices):
     for rule in (Rule.CLASSIC, Rule.TWO_CONSECUTIVE):
         assert_same_run(run_sequence(rule, prices), python_fold(rule, prices))
