@@ -43,22 +43,19 @@
  * scipy's bit for bit.
  *
  * csv_rows: rows [lo, hi) of equal-length float64 and int64 columns as CSV
- * text, in the cell rule of cli._cells. Integers are written two digits at a
- * time. A real with 2^-53 <= |x| < 2^128 (about 1.1e-16 to 3.4e38) is
- * written by put_exact, which rounds it to 17 significant digits exactly in
- * unsigned 128-bit integers; glibc's snprintf("%.17g"), under the "C"
- * locale, writes the other reals (0, infinities, smaller and larger
- * magnitudes), and every real on a compiler without unsigned __int128.
+ * text, in the cell rule of cli._cells, by integer arithmetic alone:
+ * integers two digits at a time, and each real with 2^-53 <= |x| < 2^128
+ * (about 1.1e-16 to 3.4e38) by put_exact, rounded to 17 significant digits
+ * exactly in unsigned 128-bit integers. It declines a block that holds any
+ * other unmasked real (or any real, without unsigned __int128), which cli
+ * then writes in Python with the same bytes.
  *
  * Build without -ffast-math and with -ffp-contract=off: the error-free
  * transforms need exact IEEE rounding, and the polynomial loops must not
  * fuse a multiply and an add that Cephes rounds apart.
  */
-#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
-#include <locale.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdio.h>
 #include <string.h>
 
 /* Is entry a ahead of entry b in the pool: a higher price, or an equal
@@ -533,9 +530,9 @@ void ndtr(const double *in, double *out, int64_t n)
         out[i] = ndtr1(in[i]);
 }
 
-/* The longest cells: "-2.2250738585072014e-308" and "-9223372036854775808".
+/* The longest cells: "-1.2345678901234568e-05" and "-9223372036854775808".
  * cli._CELL_BYTES sizes the caller's buffer by the same bounds. */
-#define REAL_CELL 24
+#define REAL_CELL 23
 #define INT_CELL 20
 
 static const uint64_t POW10[20] = {
@@ -670,19 +667,10 @@ static char *put_exact(char *s, uint64_t bits)
 }
 #endif
 
-/* Python's '{:.17g}' of every double. put_exact writes the reals of
- * 2^-53 <= |x| < 2^128 and glibc's "%.17g" the others. glibc gives the
- * same text as Python (the same shortest exponent, the same half-even
- * ties) except for a NaN with its sign bit set, which glibc writes "-nan"
- * and Python "nan". */
+/* Python's '{:.17g}' of x, by put_exact, when 2^-53 <= |x| < 2^128; NULL
+ * for any other real. */
 static char *put_real(char *s, double x)
 {
-    if (isnan(x)) {
-        *s++ = 'n';
-        *s++ = 'a';
-        *s++ = 'n';
-        return s;
-    }
 #ifdef __SIZEOF_INT128__
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
@@ -690,37 +678,31 @@ static char *put_real(char *s, double x)
     if (biased >= 1023 - 53 && biased < 1023 + 128)
         return put_exact(s, bits);
 #endif
-    return s + snprintf(s, REAL_CELL + 1, "%.17g", x);
+    (void)s, (void)x; /* unused without unsigned __int128 */
+    return NULL;
 }
 
 /* cols[j] is a double array when kinds[j] is 'f', else an int64 one;
  * masks[j], when not NULL, holds one byte per row, nonzero for an empty
  * cell. Each row ends in '\n'. out must hold REAL_CELL bytes per real,
- * INT_CELL per integer and one separator per cell, for each row. The
- * numbers are written in the "C" locale whatever LC_NUMERIC is, so the
- * decimal point is always '.'. Returns the bytes written, or -1 when the
- * locale object cannot be made (out of memory). */
+ * INT_CELL per integer and one separator per cell, for each row. Returns
+ * the bytes written, or -1 as soon as an unmasked real is one put_real
+ * does not write: the caller then writes the block itself. */
 int64_t csv_rows(const void *const *cols, const char *kinds,
                  const uint8_t *const *masks, int64_t n_cols,
                  int64_t lo, int64_t hi, char *out)
 {
-    locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return -1;
-    locale_t caller = uselocale(c_locale);
     char *s = out;
     for (int64_t i = lo; i < hi; i++) {
         for (int64_t j = 0; j < n_cols; j++) {
             if (!masks[j] || !masks[j][i]) {
-                if (kinds[j] == 'f')
-                    s = put_real(s, ((const double *)cols[j])[i]);
-                else
+                if (kinds[j] != 'f')
                     s = put_int(s, ((const int64_t *)cols[j])[i]);
+                else if (!(s = put_real(s, ((const double *)cols[j])[i])))
+                    return -1;
             }
             *s++ = j + 1 < n_cols ? ',' : '\n';
         }
     }
-    uselocale(caller);
-    freelocale(c_locale);
     return s - out;
 }

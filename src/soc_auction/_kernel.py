@@ -5,8 +5,9 @@ system C compiler (`cc`) into `$XDG_CACHE_HOME/soc_auction` (else
 `load()` is tried once per process and returns None when the kernels cannot
 be built or loaded. Each caller then runs its own fallback with the same
 outputs: `engine` the Python heap fold and `math.fsum`, `distributions`
-scipy's ndtr and ndtri, `cli` its Python CSV cells. A `load` patched to
-return None runs them all.
+scipy's ndtr and ndtri, `cli` its Python CSV cells. `cli` also writes in
+Python each block that `csv_rows` declines: one holding a real outside
+2**-53 <= |x| < 2**128. A `load` patched to return None runs them all.
 """
 
 from __future__ import annotations

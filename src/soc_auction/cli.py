@@ -6,11 +6,11 @@ memory), 3 I/O error, 4 insufficient data. All outputs are deterministic
 given the configuration and seed; reruns produce byte-identical CSV bodies.
 Every CSV cell follows one rule (in `_write_csv`): reals at 17 significant
 digits, which round-trips doubles losslessly; integers bare; an empty cell
-where no sale fired. When the C kernel loads it formats the cells of float64
-and int64 columns, with the same bytes as the Python rule of `_cells`. It
-rounds reals of magnitude 2**-53 to 2**128 (about 1.1e-16 to 3.4e38) to 17
-digits in exact integer arithmetic, and writes other reals with C's
-`snprintf` in the "C" locale, so `LC_NUMERIC` cannot change any cell.
+where no sale fired. When the C kernel loads it writes each block of float64
+and int64 columns in integer arithmetic alone, rounding reals of magnitude
+2**-53 to 2**128 (about 1.1e-16 to 3.4e38) to 17 digits exactly. It
+declines a block that holds any other real, and `_cells` writes that block
+in the same bytes. `LC_NUMERIC` changes no cell.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ FIG2_TOLERANCE = 0.10
 
 CSV_BLOCK_ROWS = 1 << 12  # rows formatted at once: bounds the text held in memory
 # the longest cell of each column kind that the kernel formats, as in
-# `_kernel.c`: "-2.2250738585072014e-308" and "-9223372036854775808"
-_CELL_BYTES = {np.dtype(np.float64): 24, np.dtype(np.int64): 20}
+# `_kernel.c`: "-1.2345678901234568e-05" and "-9223372036854775808"
+_CELL_BYTES = {np.dtype(np.float64): 23, np.dtype(np.int64): 20}
 
 
 def _cells(col: np.ndarray) -> list[str]:
@@ -78,8 +78,8 @@ def _text_rows(cols: list[np.ndarray]):
 
 def _kernel_rows(kernel, cols: list[np.ndarray]):
     """Rows [lo, hi) of `cols` as CSV bytes, formatted by the kernel's
-    `csv_rows` into one reused buffer; None when a column is neither
-    float64 nor int64."""
+    `csv_rows` into one reused buffer, or None for a block it declines;
+    None instead of the closure when a column is neither float64 nor int64."""
     import ctypes
 
     data = [np.ascontiguousarray(np.ma.getdata(c)) for c in cols]
@@ -99,31 +99,31 @@ def _kernel_rows(kernel, cols: list[np.ndarray]):
                             ptrs(*(None if m is None else m.ctypes.data
                                    for m in masks)),
                             len(cols), lo, hi, buf.ctypes.data)
-        if n < 0:
-            raise MemoryError("no memory for the C locale object")
-        return buf.data[:n]
+        return buf.data[:n] if n >= 0 else None
     return rows
 
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Equal-length columns under their names, in dict order. The one format
     rule: reals at 17 significant digits (a lossless double round trip),
-    integers bare, masked entries as empty cells. The kernel formats float64
-    and int64 columns with the same bytes; any other dtype, or no kernel,
-    takes `_cells`. Every command writes `path` inside `_publishing`'s
-    staging directory, which it removes on any failure, so a failed write
-    leaves no file."""
+    integers bare, masked entries as empty cells. The kernel writes each
+    block of float64 and int64 columns whose unmasked reals lie in 2**-53 <=
+    |x| < 2**128, and `_cells` every other block, in the same bytes. Every
+    command writes `path` inside `_publishing`'s staging directory, which it
+    removes on any failure, so a failed write leaves no file."""
     cols = list(columns.values())
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("CSV columns differ in length: " + ", ".join(
             f"{name}={len(c)}" for name, c in columns.items()))
     kernel = _kernel.load()
-    rows = (kernel and _kernel_rows(kernel, cols)) or _text_rows(cols)
+    text = _text_rows(cols)
+    rows = (kernel and _kernel_rows(kernel, cols)) or text
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            fh.write(rows(lo, min(lo + CSV_BLOCK_ROWS, n)))
+            hi = min(lo + CSV_BLOCK_ROWS, n)
+            fh.write(rows(lo, hi) or text(lo, hi))
 
 
 def _json_text(obj: dict) -> str:
@@ -275,6 +275,8 @@ def _avalanche_fit(sale_prices: np.ndarray, xc: float, k_min: int, k_max: int,
 
 
 def cmd_avalanches(ns) -> int:
+    if ns.rule == Rule.ACCEPT_ALL:
+        raise ModelSpecError("--rule accept-all sells every bid: no avalanches")
     fmts = _formats(ns)
     model = None if ns.model is None else parse_model(ns.model)
     result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file)

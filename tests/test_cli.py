@@ -100,19 +100,36 @@ def _as_doubles(bits):
     return np.asarray(bits, dtype=np.int64).view(np.float64)
 
 
+def _in_range(v):
+    """The entries of `v` that the kernel writes: 2**-53 <= |x| < 2**128.
+    A block holding any other real goes to `cli._cells`."""
+    return v[(np.abs(v) >= 2.0**-53) & (np.abs(v) < 2.0**128)]
+
+
 _INT64 = st.integers(-2**63, 2**63 - 1)
 # Hypothesis's own mix of floats, and uniform bit patterns: every exponent,
 # subnormals, and NaNs of either sign and any payload
 _DOUBLES = st.one_of(st.floats(), _INT64.map(lambda b: float(_as_doubles(b))))
+# the same two, of either sign, within the kernel's range: biased exponents
+# 1023 - 53 to 1023 + 127
+_IN_RANGE = st.builds(
+    lambda x, neg: -x if neg else x,
+    st.one_of(st.floats(2.0**-53, 2.0**128, exclude_max=True),
+              st.integers(970 << 52, (1151 << 52) - 1).map(
+                  lambda b: float(_as_doubles(b)))),
+    st.booleans())
 
 
 @st.composite
 def _csv_columns(draw):
     n = draw(st.integers(0, 30))
+    # most frames hold only reals that the kernel writes; one in four may
+    # hold any real, and its blocks mostly go to `_cells`
+    reals = _DOUBLES if draw(st.integers(0, 3)) == 0 else _IN_RANGE
     columns = {}
     for j in range(draw(st.integers(1, 4))):
         real = draw(st.booleans())
-        col = np.array(draw(st.lists(_DOUBLES if real else _INT64,
+        col = np.array(draw(st.lists(reals if real else _INT64,
                                      min_size=n, max_size=n)),
                        dtype=np.float64 if real else np.int64)
         if draw(st.booleans()):
@@ -136,9 +153,10 @@ _SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                      5e-324, -5e-324, 2.0**-1074 * 12345, 2.0**-1022 - 2.0**-1074,
                      # NaNs with a payload, the second with its sign bit
                      *_as_doubles([0x7FF8000000000001, -0x0007FFFFFFFFFFFF])])
-_LONGEST = np.full(CSV_BLOCK_ROWS, -2.2250738585072014e-308)  # 24 bytes
-# the kernel writes 2**-53 <= |x| < 2**128 by integer arithmetic and hands
-# the rest to snprintf: each end of that range, and one ulp past each
+_LONGEST = np.full(CSV_BLOCK_ROWS, -1.2345678901234568e-05)  # 23 bytes
+# the kernel writes 2**-53 <= |x| < 2**128 by integer arithmetic and
+# declines a block with any other real: each end of that range, and one ulp
+# past each
 _EXACT_ENDS = np.array([2.0**-53, np.nextafter(2.0**-53, 0),
                         np.nextafter(2.0**128, 0), 2.0**128])
 # whole numbers, 40 ulps either side of 2**53, 1e16, 1e17 and 2**64
@@ -151,12 +169,20 @@ _CARRIES = np.array([v for v in _as_doubles(
     if Decimal(v) < (t := Decimal(f"{v:.17g}")) and t.normalize().as_tuple().digits == (1,)])
 _SIGNED_LOGNORMAL = (np.random.default_rng(1).lognormal(0, 3, 10**4)
                      * np.random.default_rng(2).choice([-1.0, 1.0], 10**4))
+# three blocks, each declined by one real out of the kernel's range: at the
+# first and last rows of the first block, the first of the second, and the
+# one row of the third
+_DECLINED_ROWS = np.linspace(1.0, 2.0, 2 * CSV_BLOCK_ROWS + 1)
+_DECLINED_ROWS[[0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, -1]] = [
+    0.0, 1e-300, math.inf, 1e300]
 
 
 @needs_kernel
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(columns=_csv_columns())
 @example(columns={"pow10": _POW10_ULPS, "neg": -_POW10_ULPS[::-1]})
+@example(columns={"pow10": _in_range(_POW10_ULPS),
+                  "neg": -_in_range(_POW10_ULPS)[::-1]})
 @example(columns={"half": np.concatenate([_HALFWAY, -_HALFWAY])})
 @example(columns={"x": _SPECIAL, "i": np.arange(len(_SPECIAL))})
 @example(columns={"i": np.array([-2**63, 2**63 - 1, 0, -1], dtype=np.int64)})
@@ -171,8 +197,11 @@ _SIGNED_LOGNORMAL = (np.random.default_rng(1).lognormal(0, 3, 10**4)
                   "i": np.ma.array(np.arange(CSV_BLOCK_ROWS + 1),
                                    mask=np.arange(CSV_BLOCK_ROWS + 1) % 3 == 0)})
 @example(columns={"ends": _EXACT_ENDS, "neg": -_EXACT_ENDS})
+@example(columns={"ends": _in_range(_EXACT_ENDS), "neg": -_in_range(_EXACT_ENDS)})
 @example(columns={"whole": _WHOLE, "neg": -_WHOLE})
 @example(columns={"carry": np.concatenate([_CARRIES, -_CARRIES])})
+@example(columns={"carry": _in_range(np.concatenate([_CARRIES, -_CARRIES]))})
+@example(columns={"x": _DECLINED_ROWS, "i": np.arange(len(_DECLINED_ROWS))})
 @example(columns={"x": _SIGNED_LOGNORMAL})
 def test_kernel_csv_rows_equal_python_cells(columns):
     with tempfile.TemporaryDirectory() as d:
@@ -181,6 +210,27 @@ def test_kernel_csv_rows_equal_python_cells(columns):
         with mock.patch.object(_kernel, "load", lambda: None):  # `_cells`
             _write_csv(slow, columns)
         assert fast.read_bytes() == slow.read_bytes()
+
+
+@needs_kernel
+def test_kernel_writes_in_range_blocks_without_python_cells(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 1
+    rng = np.random.default_rng(3)
+    nan_where_masked = np.ma.array(rng.lognormal(0, 3, n), mask=rng.random(n) < 0.3)
+    nan_where_masked.data[nan_where_masked.mask] = math.nan  # masked: not declined
+    columns = {"x": rng.lognormal(0, 3, n) * rng.choice([-1.0, 1.0], n),
+               "m": nan_where_masked,
+               "i": rng.integers(-2**63, 2**63 - 1, n, endpoint=True),
+               "longest": np.full(n, -1.2345678901234568e-05)}
+    with mock.patch.object(_kernel, "load", lambda: None):
+        _write_csv(tmp_path / "py.csv", columns)
+
+    def no_cells(col):
+        raise AssertionError("a block went to cli._cells")
+
+    with mock.patch.object(cli, "_cells", no_cells):
+        _write_csv(tmp_path / "c.csv", columns)
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
 
 
 @needs_kernel
@@ -201,12 +251,16 @@ def test_kernel_csv_rows_ignore_the_numeric_locale(tmp_path):
         locale.setlocale(locale.LC_NUMERIC, "de_DE.UTF-8")
         assert locale.localeconv()["decimal_point"] == ","
         assert _kernel.load()
+        # the first file's one block goes to `cli._cells` (-1e-300 is out
+        # of the kernel's range), the second file's to the kernel
         _write_csv(Path(sys.argv[1]), {"x": np.array([0.5, -1e-300, 1e20])})
+        _write_csv(Path(sys.argv[2]), {"x": np.array([0.5, -1e-10, 1e20])})
         """)
-    out = tmp_path / "t.csv"
-    subprocess.run([sys.executable, "-c", code, str(out)], check=True,
-                   env={**os.environ, "LOCPATH": str(tmp_path)})
+    out, exact = tmp_path / "t.csv", tmp_path / "exact.csv"
+    subprocess.run([sys.executable, "-c", code, str(out), str(exact)],
+                   check=True, env={**os.environ, "LOCPATH": str(tmp_path)})
     assert out.read_bytes() == b"x\n0.5\n-1e-300\n1e+20\n"
+    assert exact.read_bytes() == b"x\n0.5\n-1e-10\n1e+20\n"
 
 
 @pytest.mark.parametrize("columns", [
@@ -642,6 +696,21 @@ def test_avalanches_moderate_run_writes_fit(tmp_path):
     assert rc2 == 0
     assert ((tmp_path / "tail_fit.json").read_bytes()
             == (tmp_path / "again" / "tail_fit.json").read_bytes())
+
+
+def test_avalanches_accept_all_is_refused_before_it_folds(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_sample(model, seed, n):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "sample", no_sample)
+    out = tmp_path / "out"
+    rc = main(["avalanches", "--model", "lognormal:mu=0,sigma=0.3", "--rule",
+               "accept-all", "--n", "1000", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "accept-all" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_avalanches_too_small_run_exit_4(tmp_path, capsys):
