@@ -30,12 +30,21 @@
  *   caller) holds it however large it grows.
  * `armed` says whether a lower arrival may execute the maximum: the classic
  * rule never clears it; the two-consecutive rule sets it after each arrival
- * to whether that arrival is strictly below the pool maximum. Every arrival
- * joins the pool and every sale leaves it, so the pool ends, in no order,
- * as pool[0..n - sales): the bucket, the heap, then the stack. Returns the
- * number of sales.
+ * to whether that arrival is strictly below the pool maximum.
+ * fold is resumable: each call folds the arrivals [lo, hi) of p, reads no
+ * price at or past hi, and keeps everything else it needs in a struct
+ * fold_state that the caller holds, so calls over [0, a), [a, b), ... give
+ * the same sales, in the same slots, as one call over the whole run. That
+ * lets a caller fold block k while a second thread writes block k + 1 of
+ * p: single runs of at least cli.PIPELINE_MIN_BIDS bids do so when two
+ * CPUs are free, with the same outputs either way. Every arrival joins the
+ * pool and every sale leaves it, so after each call the pool is, in no
+ * order, pool[0..hi - sales): the bucket, the heap, then the stack (a copy
+ * of O(heap) entries per call). Returns the number of sales so far.
  *
- * exact_sum: CPython's math.fsum over a double array, bit for bit.
+ * sum_add, sum_round: CPython's math.fsum over a double array, bit for bit,
+ * split into an add step over caller-kept partials (struct sum_state), in
+ * as many steps as the caller likes, and a final rounding.
  *
  * ndtri, ndtr: the standard normal quantile and cdf over a double array,
  * line-for-line ports of S. L. Moshier's Cephes ndtri.c and ndtr.c (with
@@ -128,18 +137,29 @@ static void select_top(const double *p, int64_t *a, int64_t len, int64_t k)
 #define CAP 4096 /* the heap size at which the threshold rises */
 #define TOP 64    /* the top stack's capacity */
 
-int64_t fold(const double *p, int64_t n, int two_consecutive,
-             double *sale_price, int64_t *accepted, int64_t *trigger,
-             int64_t *pool, int64_t *h)
+/* The state fold leaves for its next call on the same prices; all zero
+ * bytes are a fresh fold. Between calls the top stack is kept compact. */
+struct fold_state {
+    int64_t m, b, ns, s; /* heap size, bucket length, stack size, sales */
+    double tp;           /* the threshold entry's price; 0.0, below every
+                            price, before there is one */
+    int64_t disarmed;    /* the rule may not sell at the next arrival */
+    int64_t st[TOP];     /* the top stack, ascending */
+};
+
+int64_t fold(struct fold_state *f, const double *p, int64_t lo, int64_t hi,
+             int two_consecutive, double *sale_price, int64_t *accepted,
+             int64_t *trigger, int64_t *pool, int64_t *h)
 {
     /* the top stack st[0..ns) slides up buf: a spill advances st, and a
      * push that meets buf's end moves the stack back to its start, at most
      * once per TOP pushes */
     int64_t buf[2 * TOP], *st = buf, *a;
-    int64_t m = 0, b = 0, ns = 0, s = 0, len, i, k, j, x;
-    double tp = 0.0; /* the threshold entry's price; every price is > 0 */
-    int armed = 1;
-    for (i = 0; i < n; i++) {
+    int64_t m = f->m, b = f->b, ns = f->ns, s = f->s, len, i, k, j, x;
+    double tp = f->tp;
+    int armed = !f->disarmed;
+    memcpy(buf, f->st, (size_t)ns * sizeof *st);
+    for (i = lo; i < hi; i++) {
         x = ns ? st[ns - 1] : m ? h[0] : -1; /* the pool maximum, if any */
         if (armed && x >= 0 && p[i] < p[x]) { /* sell */
             if (ns)
@@ -200,25 +220,37 @@ int64_t fold(const double *p, int64_t n, int two_consecutive,
         if (two_consecutive)
             armed = p[i] < p[ns ? st[ns - 1] : h[0]];
     }
+    f->m = m;
+    f->b = b;
+    f->ns = ns;
+    f->s = s;
+    f->tp = tp;
+    f->disarmed = !armed;
+    memcpy(f->st, st, (size_t)ns * sizeof *st);
     memcpy(pool + b, h, (size_t)m * sizeof *h);
     memcpy(pool + b + m, st, (size_t)ns * sizeof *st);
     return s;
 }
 
-/* Shewchuk's non-overlapping partials, then the half-even correction on the
- * last one: the same operations in the same order as CPython's math.fsum,
- * so the result equals it bit for bit. The partials are non-overlapping, so
- * each owns at least one of the 2098 binary exponent positions of a double
- * (2^-1074 .. 2^1023), and 2099 slots always hold them. For finite input a
- * non-finite result means an intermediate overflow (fsum's OverflowError):
- * it is returned at once. The one product, lo * 2.0, is exact, so a fused
- * multiply-add cannot change a rounding.
- */
-double exact_sum(const double *v, int64_t n)
+/* The state of a sum: Shewchuk's non-overlapping partials p[0..m). They
+ * are non-overlapping, so each owns at least one of the 2098 binary
+ * exponent positions of a double (2^-1074 .. 2^1023), and 2099 slots always
+ * hold them. A non-finite partial ends the sum: m becomes -1 and p[0] holds
+ * it. For finite input that means an intermediate overflow (fsum's
+ * OverflowError). All zero bytes are an empty sum. */
+struct sum_state {
+    int64_t m;
+    double p[2099];
+};
+
+/* Add v[0..n) to the partials; returns their count, or -1 once the sum has
+ * ended. Added in any number of steps, the values give the same partials
+ * as one step over all of them. */
+int64_t sum_add(struct sum_state *S, const double *v, int64_t n)
 {
-    double p[2099], x, y, t, hi, yr, lo = 0.0;
-    int64_t i, j, k, m = 0;
-    for (k = 0; k < n; k++) {
+    double *p = S->p, x, y, t, hi, lo;
+    int64_t i, j, k, m = S->m;
+    for (k = 0; k < n && m >= 0; k++) {
         x = v[k];
         for (i = j = 0; j < m; j++) {
             y = p[j];
@@ -233,11 +265,30 @@ double exact_sum(const double *v, int64_t n)
         }
         m = i;
         if (x != 0.0) {
-            if (!isfinite(x))
-                return x;
-            p[m++] = x;
+            if (isfinite(x))
+                p[m++] = x;
+            else {
+                p[0] = x;
+                m = -1;
+            }
         }
     }
+    return S->m = m;
+}
+
+/* The partials summed from the top, then the half-even correction on the
+ * last one: with sum_add, the same operations in the same order as
+ * CPython's math.fsum, so the result equals it bit for bit; the non-finite
+ * partial of an ended sum. The one product, lo * 2.0, is exact, so a fused
+ * multiply-add cannot change a rounding.
+ */
+double sum_round(const struct sum_state *S)
+{
+    const double *p = S->p;
+    double x, y, hi, yr, lo = 0.0;
+    int64_t m = S->m;
+    if (m < 0)
+        return p[0];
     hi = 0.0;
     if (m > 0) {
         hi = p[--m];
@@ -264,6 +315,10 @@ double exact_sum(const double *v, int64_t n)
     }
     return hi;
 }
+
+/* the bytes of each state a caller keeps */
+const int64_t fold_state_bytes = sizeof(struct fold_state);
+const int64_t sum_state_bytes = sizeof(struct sum_state);
 
 /* Cephes polynomial evaluation: coef[0] x^N + ... + coef[N], and the same
  * with a leading coefficient of 1 that the table leaves out. */

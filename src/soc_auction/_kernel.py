@@ -32,8 +32,10 @@ def load():
 
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     entries = {  # name: (argtypes, restype)
-        "fold": ([ptr, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr], i64),
-        "exact_sum": ([ptr, i64], ctypes.c_double),
+        "fold": ([ptr, ptr, i64, i64, ctypes.c_int, ptr, ptr, ptr, ptr, ptr],
+                 i64),
+        "sum_add": ([ptr, ptr, i64], i64),
+        "sum_round": ([ptr], ctypes.c_double),
         "ndtri": ([ptr, ptr, i64], None),
         "ndtr": ([ptr, ptr, i64], None),
         "csv_rows": ([ptr, ptr, ptr, i64, i64, i64, ptr], i64),
@@ -62,6 +64,9 @@ def load():
         for name, (argtypes, restype) in entries.items():
             fn = getattr(kernel, name)
             fn.argtypes, fn.restype = argtypes, restype
+        # the bytes of the states that the callers of fold and sum_add keep
+        for name in ("fold_state_bytes", "sum_state_bytes"):
+            setattr(kernel, name, i64.in_dll(kernel, name).value)
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
     return kernel

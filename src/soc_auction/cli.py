@@ -4,6 +4,10 @@ replicate the reference figures as plottable data files.
 Exit codes: 0 success, 2 configuration error (or a run too large for
 memory), 3 I/O error, 4 insufficient data. All outputs are deterministic
 given the configuration and seed; reruns produce byte-identical CSV bodies.
+A single run of at least PIPELINE_MIN_BIDS bids of a model (`simulate`,
+`avalanches`, `replicate fig1a|fig2`) uses two threads when two CPUs are
+free and the C kernel is loaded: one draws the next block of bids while
+the kernel folds those drawn. The outputs are the same either way.
 Every CSV cell follows one rule (in `_write_csv`): reals at 17 significant
 digits, which round-trips doubles losslessly; integers bare; an empty cell
 where no sale fired. When the C kernel loads it writes each block of float64
@@ -21,16 +25,19 @@ import dataclasses
 import functools
 import json
 import os
+import queue
 import shutil
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernel, analytics, montecarlo
-from .distributions import (E_INV, PriceModel, SeedSpec, critical_price,
-                            parse_model, sample)
+from . import _kernel, analytics, engine, montecarlo
+from .distributions import (E_INV, RULE_PC, PriceModel, SeedSpec,
+                            _inverse_transform, critical_price, parse_model,
+                            sample)
 from .engine import Rule, RunResult, run_sequence
 from .errors import InsufficientDataError, ModelSpecError
 
@@ -53,6 +60,12 @@ FIG2_KMIN, FIG2_KMAX = 100, 10_000
 FIG2_TARGET_SLOPE = -0.54
 FIG2_TOLERANCE = 0.10
 
+
+# A single run of at least PIPELINE_MIN_BIDS bids of a model, with the C
+# kernel loaded and two CPUs free, draws PIPELINE_BLOCK bids at a time on a
+# second thread while the fold takes the blocks already drawn.
+PIPELINE_BLOCK = 1 << 14
+PIPELINE_MIN_BIDS = 1 << 18
 
 CSV_BLOCK_ROWS = 1 << 12  # rows formatted at once: bounds the text held in memory
 # the longest cell of each column kind that the kernel formats, as in
@@ -164,12 +177,67 @@ def _run(model: PriceModel | None, rule: Rule | str, n: int, seed: int,
          trajectory: bool = False) -> tuple[RunResult, np.ndarray]:
     """The one fold behind every single-run command: of the prices in
     `prices_file` when one is given, else of `n` draws of `model` from
-    stream 0 of the master `seed`. `ntilde` is built only with `trajectory`."""
+    stream 0 of the master `seed`. `ntilde` is built only with `trajectory`.
+    At least PIPELINE_MIN_BIDS draws, with the C kernel loaded and two CPUs
+    free, are drawn on a second thread while the kernel folds the blocks
+    already drawn, with the same outputs as drawing them all first."""
     if prices_file is not None:
         prices = _load_prices_file(prices_file)
-    else:
+    elif n < PIPELINE_MIN_BIDS or not _kernel.load() or montecarlo._cpus() < 2:
         prices = sample(model, SeedSpec(seed, 0), n)
+    else:
+        prices = np.empty(n)
+        with _drawing(model, SeedSpec(seed, 0).generator(), prices) as ends:
+            return engine._run_ranges(Rule(rule), prices, ends, trajectory), prices
     return run_sequence(rule, prices, collect_trajectory=trajectory), prices
+
+
+@contextlib.contextmanager
+def _drawing(model: PriceModel, gen, prices: np.ndarray):
+    """Fill `prices` with the draws `sample` makes from the generator `gen`,
+    on a second thread and PIPELINE_BLOCK at a time, each block checked as
+    `run_sequence` checks prices; yields an iterator over the end of each
+    block once it is ready. An error on that thread is raised from the
+    iterator. On exit, also when the body raises, the thread is told to stop
+    and is joined. It calls no public function of the package: those are
+    the boundaries that the bench tracer wraps, on one stack of spans."""
+    ready = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def draw():
+        try:
+            for lo in range(0, len(prices), PIPELINE_BLOCK):
+                if stop.is_set():
+                    return
+                block = prices[lo:lo + PIPELINE_BLOCK]
+                gen.random(out=block)
+                block[...] = _inverse_transform(model, block)
+                engine._check_prices(block)
+                ready.put(lo + len(block))
+        except BaseException as e:  # raised again by `ends`
+            ready.put(e)
+
+    def ends():
+        hi = 0
+        while hi < len(prices):
+            hi = ready.get()
+            if isinstance(hi, BaseException):
+                raise hi
+            yield hi
+
+    thread = threading.Thread(target=draw, name="soc-auction-draw")
+    thread.start()
+    try:
+        yield ends()
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _pc(ns) -> float:
+    """--pc, else the rule's own never-accepted fraction; accept-all sells
+    every bid and keeps the classic rule's 1/e, to compare against."""
+    return ns.pc if ns.pc is not None else RULE_PC.get(Rule(ns.rule), E_INV)
 
 
 def _xc_for(model: PriceModel | None, prices: np.ndarray, pc: float) -> float:
@@ -223,7 +291,8 @@ def cmd_simulate(ns) -> int:
     model = None if ns.model is None else parse_model(ns.model)
     result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file,
                           trajectory=True)
-    xc = _xc_for(model, prices, ns.pc)
+    pc = _pc(ns)
+    xc = _xc_for(model, prices, pc)
     with _publishing(ns) as out:
         if "csv" in fmts:
             bid_index = np.arange(1, result.n_bids + 1)
@@ -243,7 +312,7 @@ def cmd_simulate(ns) -> int:
                 "total_income": result.total_income,
                 "sales_fraction": result.sales_fraction,
                 "xc_used": xc,
-                "pc": ns.pc,
+                "pc": pc,
                 "rule": Rule(ns.rule).value,
                 "model": model.spec_string() if model is not None else None,
                 "master_seed": None if ns.prices_file is not None else ns.seed,
@@ -280,7 +349,7 @@ def cmd_avalanches(ns) -> int:
     fmts = _formats(ns)
     model = None if ns.model is None else parse_model(ns.model)
     result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file)
-    xc = _xc_for(model, prices, ns.pc)
+    xc = _xc_for(model, prices, _pc(ns))
     # fit before writing, so a failed fit leaves no output behind
     avalanches, fit = _avalanche_fit(result.sale_prices, xc, ns.kmin, ns.kmax,
                                      ns.seed)
@@ -382,14 +451,15 @@ def cmd_fig2(ns) -> int:
 # Parser
 # =====================================================================
 
-def _add_model_flags(p: argparse.ArgumentParser, source) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, source, pc: float | None,
+                     pc_text: str) -> None:
     """--model on `source`: `p` itself, where it is required, or a group of
-    exclusive price sources; and --pc on `p`."""
+    exclusive price sources; and --pc on `p`, with default `pc`."""
     source.add_argument("--model", required=source is p,
                         help="price model spec, e.g. lognormal:mu=0,sigma=0.3 "
                         "or truncated:base=1.2,inner=<spec> for a posted base price")
-    p.add_argument("--pc", type=float, default=E_INV,
-                   help="never-accepted fraction for the critical price (default 1/e)")
+    p.add_argument("--pc", type=float, default=pc,
+                   help=f"never-accepted fraction for the critical price (default {pc_text})")
 
 
 def _bid_count(text: str) -> int:
@@ -405,7 +475,8 @@ def _bid_count(text: str) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser, n: int) -> None:
     source = p.add_mutually_exclusive_group(required=True)
-    _add_model_flags(p, source)
+    _add_model_flags(p, source, None,
+                     "the rule's own: 1/2 for two-consecutive, else 1/e")
     source.add_argument("--prices-file", help="one price per line, in place of --model")
     p.add_argument("--rule", choices=[r.value for r in Rule], default="classic")
     p.add_argument("--n", type=_bid_count, default=n,
@@ -427,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("theory", help="theoretical summary for a price model")
-    _add_model_flags(p, p)
+    _add_model_flags(p, p, E_INV, "1/e")
     p.add_argument("--b", type=float, default=analytics.B_DEFAULT,
                    help="accepted-count variance constant")
     p.add_argument("--out", default=None, help="also write theory.json here")

@@ -14,9 +14,13 @@ Accept-all baseline: every bid is immediately a sale of itself.
 
 `run_sequence` folds a whole price list of either comparison rule with the
 C kernel's `fold` (see `_kernel`), and sums the income of every rule with
-its `exact_sum`, a port of `math.fsum`. Where no kernel can be built or
-loaded it runs `_fold`, the Python heap loop, and `math.fsum`, with the
-same outputs about fifty times slower.
+its `sum_add` and `sum_round`, a port of `math.fsum`. Where no kernel can
+be built or loaded it runs `_fold`, the Python heap loop, and `math.fsum`,
+with the same outputs about fifty times slower. Both folds resume where
+they stopped, so `_run_ranges` folds a run range by range while the prices
+past the range are still being written: `cli` draws the bids of a single
+run of at least `cli.PIPELINE_MIN_BIDS` on a second thread when two CPUs
+are free, and the outputs are the same either way.
 `AuctionEngine` feeds one bid at a time through `_fold` and sums its income
 with the same `_total_income`. `oracle_run` rescans the pool at every step
 and shares no rule code with either: it is the independent reference the
@@ -25,6 +29,7 @@ tests compare against. Prices must be finite and > 0.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import heapq
 import math
@@ -170,14 +175,19 @@ class RunResult:
         return self._prices[self.remaining_indices - 1]
 
 
+def _check_prices(arr: np.ndarray) -> None:
+    """Refuse prices that are not all finite and > 0, naming the first."""
+    ok = (arr > 0) & (arr < math.inf)
+    if not ok.all():
+        raise ValueError(f"bid prices must be finite and > 0, got {arr[np.argmin(ok)]}")
+
+
 def _validate_prices(prices) -> np.ndarray:
     """The prices as a contiguous float64 vector, the layout the C fold reads."""
     arr = np.asarray(prices, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"bid prices must be a flat sequence, got shape {arr.shape}")
-    ok = (arr > 0) & (arr < math.inf)
-    if not ok.all():
-        raise ValueError(f"bid prices must be finite and > 0, got {arr[np.argmin(ok)]}")
+    _check_prices(arr)
     return np.ascontiguousarray(arr)
 
 
@@ -212,39 +222,68 @@ def _fold(pl, heap: list[tuple[float, int]], armed: bool, i: int,
     return sale_p, acc, trig, armed
 
 
-def _fold_run(arr: np.ndarray, two_consecutive: bool):
-    """The sales of a whole run and its pool as 0-based indices in no order:
-    from the C kernel when it loads, else from `_fold`."""
+def _fold_run(arr: np.ndarray, two_consecutive: bool, ends):
+    """The sales of a run, its pool as 0-based indices in no order, and its
+    income: from the C kernel when it loads, else from `_fold` and
+    `math.fsum`. The run is folded range by range: each value of `ends` is
+    the end of the next range of `arr` whose prices are written and checked,
+    the last one len(arr), so another thread may still be writing the
+    prices past it. Every cut gives the same outputs."""
     n = len(arr)
     kernel = _kernel.load()
+    lo = s = 0
     if kernel:
         sale_p = np.empty(n)
         # `heap` holds the kernel's binary heap: at most 4096 entries, except
         # after a refill with the top eighth of a bucket of more than 32768
         acc, trig, pool, heap = (np.empty(n, dtype=np.int64) for _ in range(4))
-        s = kernel.fold(arr.ctypes.data, n, two_consecutive,
-                        sale_p.ctypes.data, acc.ctypes.data, trig.ctypes.data,
-                        pool.ctypes.data, heap.ctypes.data)
-        return sale_p[:s], acc[:s], trig[:s], pool[:n - s]
+        # zero bytes: a fresh fold and an empty sum
+        state = ctypes.create_string_buffer(kernel.fold_state_bytes)
+        income = ctypes.create_string_buffer(kernel.sum_state_bytes)
+        p = arr.ctypes.data
+        outs = [a.ctypes.data for a in (sale_p, acc, trig, pool, heap)]
+        for hi in ends:
+            s0, s = s, kernel.fold(state, p, lo, hi, two_consecutive, *outs)
+            # this range's sales join the income as they are made
+            if kernel.sum_add(income, outs[0] + sale_p.itemsize * s0, s - s0) < 0:
+                break  # past the largest double: `_finite_income` refuses it
+            lo = hi
+        return (sale_p[:s], acc[:s], trig[:s], pool[:n - s],
+                _finite_income(kernel.sum_round(income)))
     entries: list[tuple[float, int]] = []
-    sale_p, acc, trig, _ = _fold(arr.tolist(), entries, True, 0, two_consecutive)
+    sale_p, acc, trig, armed = [], [], [], True
+    for hi in ends:
+        sp, a, t, armed = _fold(arr[lo:hi].tolist(), entries, armed, lo,
+                                two_consecutive)
+        sale_p += sp
+        acc += a
+        trig += t
+        lo = hi
     pool = np.array([j for _, j in entries], dtype=np.int64) - 1
-    return (np.array(sale_p, dtype=float), np.array(acc, dtype=np.int64),
-            np.array(trig, dtype=np.int64), pool)
+    sale_p = np.array(sale_p, dtype=float)
+    return (sale_p, np.array(acc, dtype=np.int64),
+            np.array(trig, dtype=np.int64), pool, _total_income(sale_p))
+
+
+def _finite_income(total: float) -> float:
+    if not math.isfinite(total):
+        raise ValueError("total income overflows a double")
+    return total
 
 
 def _total_income(sale_p: np.ndarray) -> float:
     """The sum of the sale prices rounded once, as `math.fsum` gives it: from
-    the C kernel's `exact_sum` when it loads, else from `math.fsum`."""
+    the C kernel's `sum_add` and `sum_round` when it loads, else from
+    `math.fsum`."""
     kernel = _kernel.load()
+    if kernel:
+        income = ctypes.create_string_buffer(kernel.sum_state_bytes)
+        kernel.sum_add(income, sale_p.ctypes.data, len(sale_p))
+        return _finite_income(kernel.sum_round(income))
     try:
-        total = (kernel.exact_sum(sale_p.ctypes.data, len(sale_p)) if kernel
-                 else math.fsum(sale_p))
+        return _finite_income(math.fsum(sale_p))
     except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValueError("total income overflows a double")
-    return total
+        return _finite_income(math.inf)
 
 
 def _ntilde(trigger_indices: np.ndarray, n: int) -> np.ndarray:
@@ -266,20 +305,31 @@ def run_sequence(rule: Rule | str, prices, *,
     the value `math.fsum` gives, in both; a sum past the largest double is
     a ValueError. `ntilde` is built only when collect_trajectory is true.
     """
-    rule = Rule(rule)
     arr = _validate_prices(prices)
+    return _run_ranges(Rule(rule), arr, (len(arr),), collect_trajectory)
+
+
+def _run_ranges(rule: Rule, arr: np.ndarray, ends,
+                collect_trajectory: bool) -> RunResult:
+    """`run_sequence` of checked prices that may still be being written,
+    with `ends` as in `_fold_run`. The accept-all rule waits for the last
+    range."""
     n = len(arr)
     if rule is Rule.ACCEPT_ALL:
+        for _ in ends:
+            pass
         sale_p = arr.copy()
         acc = trig = np.arange(1, n + 1, dtype=np.int64)
         pool = np.empty(0, dtype=np.int64)
+        total = _total_income(sale_p)
     else:
-        sale_p, acc, trig, pool = _fold_run(arr, rule is Rule.TWO_CONSECUTIVE)
+        sale_p, acc, trig, pool, total = _fold_run(
+            arr, rule is Rule.TWO_CONSECUTIVE, ends)
     return RunResult(
         rule=rule, n_bids=n, sale_prices=sale_p, accepted_indices=acc,
         trigger_indices=trig,
         ntilde=_ntilde(trig, n) if collect_trajectory else np.empty(0, dtype=np.int64),
-        total_income=_total_income(sale_p), _prices=arr, _pool=pool,
+        total_income=total, _prices=arr, _pool=pool,
     )
 
 

@@ -12,6 +12,8 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
+import time
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soc_auction import (Rule, SeedSpec, _kernel, cli, parse_model,
+from soc_auction import (E_INV, LogNormal, Rule, SeedSpec, _kernel, cli,
+                         critical_price, montecarlo, parse_model,
                          run_sequence, sample)
 from soc_auction.cli import (CSV_BLOCK_ROWS, FIG1B_GRID, FIG1B_N, FIG1B_SEED,
                              FIG_MODEL, _write_csv, build_parser, main)
@@ -635,6 +638,8 @@ def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
     def no_memory(model, seed, n):
         raise MemoryError(f"Unable to allocate {8 * n} bytes")
 
+    # the serial route, the one that calls `sample`
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
     monkeypatch.setattr("soc_auction.cli.sample", no_memory)
     out = tmp_path / "out"
     rc = main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "1e13",
@@ -643,6 +648,161 @@ def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 80000000000000 bytes\n")
     assert not out.exists()
+
+
+@pytest.fixture
+def pipelined(monkeypatch):
+    """Single runs of 1000 bids or more draw on a second thread, 333 bids at
+    a time, as if two CPUs were free; the list of the bid counts of the runs
+    that did."""
+    monkeypatch.setattr(cli, "PIPELINE_BLOCK", 333)
+    monkeypatch.setattr(cli, "PIPELINE_MIN_BIDS", 1000)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    runs = []
+    drawing = cli._drawing
+
+    def spy(model, gen, prices):
+        runs.append(len(prices))
+        return drawing(model, gen, prices)
+
+    monkeypatch.setattr(cli, "_drawing", spy)
+    return runs
+
+
+# every law, under every rule
+PIPELINE_LAWS = ("exponential:rate=2", FIG_MODEL, "uniform:lo=1,hi=3",
+                 "pareto:xmin=1,alpha=2.5",
+                 "truncated:base=1.2,inner=lognormal:mu=0,sigma=0.3")
+
+
+@needs_kernel
+def test_pipelined_runs_write_the_serial_files(tmp_path, monkeypatch, pipelined):
+    runs = {f"{law}-{rule.value}": ["simulate", "--model", law, "--rule",
+                                    rule.value, "--n", "20000", "--seed", "3"]
+            for law in PIPELINE_LAWS for rule in Rule}
+    runs["avalanches"] = ["avalanches", "--model", FIG_MODEL, "--n", "50000",
+                          "--seed", "1", "--kmin", "2", "--kmax", "200"]
+    runs["fig1a"] = ["replicate", "fig1a"]
+    for seed in ("1", "1007"):
+        runs[f"fig2-{seed}"] = ["replicate", "fig2", "--seed", seed]
+    outputs = {}
+    for route in ("pipelined", "serial"):
+        if route == "serial":
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / route / name)]) == 0
+        outputs[route] = {p.relative_to(tmp_path / route): p.read_bytes()
+                          for p in (tmp_path / route).rglob("*") if p.is_file()}
+        assert len(pipelined) == len(runs)  # the serial route draws at once
+    assert len(outputs["serial"]) == 2 * len(runs) + 1  # avalanches writes 3
+    assert outputs["pipelined"] == outputs["serial"]
+
+
+@needs_kernel
+@pytest.mark.parametrize("route", ["serial", "pipelined"])
+def test_income_overflow_of_a_model_run_is_config_error(
+        tmp_path, monkeypatch, capsys, pipelined, route):
+    # the sales pass the largest double at bid 2750, in the ninth block drawn
+    if route == "serial":
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--model", "pareto:xmin=1e305,alpha=50",
+               "--n", "1e4", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: total income overflows a double\n"
+    assert pipelined == ([10_000] if route == "pipelined" else [])
+    assert not out.exists()
+
+
+@needs_kernel
+@pytest.mark.parametrize("error, code", [(ValueError("no draw"), 2),
+                                         (OSError("no draw"), 3)])
+def test_draw_thread_error_is_the_exit_code(tmp_path, monkeypatch, capsys,
+                                            pipelined, error, code):
+    threads = threading.active_count()
+    ppf, blocks = LogNormal._ppf, []
+
+    def fails_on_the_third_block(self, u):
+        if threading.current_thread() is not threading.main_thread():
+            blocks.append(len(u))
+            if len(blocks) == 3:
+                raise error
+        return ppf(self, u)
+
+    monkeypatch.setattr(LogNormal, "_ppf", fails_on_the_third_block)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--model", FIG_MODEL, "--n", "1e4", "--out", str(out)])
+    assert rc == code
+    assert capsys.readouterr().err == "error: no draw\n"
+    assert pipelined == [10_000] and blocks == [333] * 3
+    assert threading.active_count() == threads
+    assert not out.exists()
+
+
+@needs_kernel
+def test_fold_error_stops_and_joins_the_draw_thread(tmp_path, monkeypatch,
+                                                     capsys, pipelined):
+    threads = threading.active_count()
+    transform, drawn = cli._inverse_transform, []
+
+    def slow(model, u):  # 301 blocks would take 3 s
+        drawn.append(len(u))
+        time.sleep(0.01)
+        return transform(model, u)
+
+    monkeypatch.setattr(cli, "_inverse_transform", slow)
+    out = tmp_path / "out"
+    # the sales pass the largest double at bid 2750, in the ninth block
+    rc = main(["simulate", "--model", "pareto:xmin=1e305,alpha=50",
+               "--n", "1e5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: total income overflows a double\n"
+    assert pipelined == [100_000]
+    assert 9 <= len(drawn) < 30
+    assert threading.active_count() == threads
+    assert not out.exists()
+
+
+@needs_kernel
+def test_out_of_memory_on_the_draw_thread_is_config_error(
+        tmp_path, monkeypatch, capsys, pipelined):
+    # the pipelined twin of test_out_of_memory_is_config_error, which
+    # patches `sample`: this route draws without it
+    threads = threading.active_count()
+
+    def no_memory(model, u):
+        raise MemoryError(f"Unable to allocate {8 * len(u)} bytes")
+
+    monkeypatch.setattr(cli, "_inverse_transform", no_memory)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "1e4",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 2664 bytes\n")
+    assert pipelined == [10_000]
+    assert threading.active_count() == threads
+    assert not out.exists()
+
+
+def test_default_pc_is_the_rules(tmp_path):
+    # at 1/e, the classic rule's fraction, this run has no complete avalanche
+    out = tmp_path / "avalanches"
+    rc = main(["avalanches", "--model", FIG_MODEL, "--n", "2e5",
+               "--rule", "two-consecutive", "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    fit = json.loads((out / "tail_fit.json").read_text())
+    assert fit["xc_used"] == critical_price(LogNormal(0, 0.3), 0.5)
+    for rule, pc in (("classic", 0.36787944117144233),
+                     ("two-consecutive", 0.5), ("accept-all", E_INV)):
+        for flag in ([], ["--pc", "0.25"]):
+            out = tmp_path / rule / str(len(flag))
+            assert main(["simulate", "--model", FIG_MODEL, "--rule", rule,
+                         *flag, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["pc"] == (0.25 if flag else pc)
+            assert summary["xc_used"] == critical_price(LogNormal(0, 0.3),
+                                                        summary["pc"])
 
 
 def test_theory_infinite_mean_flags(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import pickle
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from soc_auction import (AuctionEngine, Bid, LogNormal, Pareto, Rule,
                          RunResult, SaleRecord, SeedSpec, Uniform, _kernel,
+                         engine,
                          oracle_run, quantile, run_sequence, sample,
                          uniform_stream)
 
@@ -324,9 +326,15 @@ def test_income_overflow_is_a_named_error(backend):
             eng.total_income
 
 
-def kernel_sum(values) -> float:
+def kernel_sum(values, cuts=()) -> float:
+    """The kernel's sum of `values`, added range by range between the sorted
+    `cuts`; inf or nan once a partial is not finite."""
+    kernel = _kernel.load()
     arr = np.ascontiguousarray(values, dtype=float)
-    return _kernel.load().exact_sum(arr.ctypes.data, len(arr))
+    income = np.zeros(kernel.sum_state_bytes, dtype=np.uint8)
+    for lo, hi in itertools.pairwise((0, *cuts, len(arr))):
+        kernel.sum_add(income.ctypes.data, arr[lo:].ctypes.data, hi - lo)
+    return kernel.sum_round(income.ctypes.data)
 
 
 def fsum_or_inf(values) -> float:
@@ -359,6 +367,44 @@ _positive_doubles = st.one_of(
 def test_exact_sum_matches_fsum(values):
     # on an intermediate overflow fsum raises and the kernel returns inf
     assert kernel_sum(values).hex() == fsum_or_inf(values).hex()
+
+
+@st.composite
+def _split_sums(draw):
+    """Values as `test_exact_sum_matches_fsum` draws them, and cuts between
+    them: empty ranges, single values and long runs alike."""
+    values = draw(st.lists(_positive_doubles, max_size=200))
+    cuts = draw(st.lists(st.integers(0, len(values)), max_size=12))
+    return values, sorted(cuts)
+
+
+@needs_kernel
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(split=_split_sums())
+@example(split=([1.0, 2**-53], [1]))                  # a tie, split
+@example(split=([1.0, 2**-53, 2**-106], [1, 2]))      # past the tie, one by one
+@example(split=([2**-106, 2**-53, 1.0], [0, 0, 2, 3]))  # empty ranges
+@example(split=([1e-16, 1.0, 1e16], [2]))
+@example(split=([2.0**1023, 2.0**970], [1]))
+@example(split=([1.7976931348623157e308, 2.0**970], [1]))
+@example(split=([1.7976931348623157e308] * 3, [1, 2]))  # overflow, then more
+@example(split=([0.1] * 100_000, [1, 4096, 50_000, 99_999]))
+@example(split=([5e-324] * 4096, [2048]))
+def test_exact_sum_in_ranges_matches_fsum(split):
+    values, cuts = split
+    assert kernel_sum(values, cuts).hex() == fsum_or_inf(values).hex()
+
+
+def test_income_overflow_in_a_middle_range_is_a_named_error(backend):
+    # the second 1.7e308 sale (at bid 6 under the classic rule, at bid 7
+    # under the two-consecutive rule) passes the largest double in the range
+    # of bids 6 and 7; the kernel fold stops there and reads no later range
+    prices = np.array([1.0, 1.7e308, 1.0, 1.0, 1.7e308, 1.0, 1.0, 1.0, 1.0, 1.0])
+    for rule in (Rule.CLASSIC, Rule.TWO_CONSECUTIVE):
+        ends = iter([2, 5, 7, 8, 10])
+        with pytest.raises(ValueError, match="total income overflows a double"):
+            engine._run_ranges(rule, prices, ends, False)
+        assert list(ends) == ([8, 10] if backend == "c" else [])
 
 
 def income_or_error(total) -> str:
@@ -508,6 +554,49 @@ _stack_runs = st.builds(
 def test_kernel_fold_top_stack_matches_python_fold(prices):
     for rule in (Rule.CLASSIC, Rule.TWO_CONSECUTIVE):
         assert_same_run(run_sequence(rule, prices), python_fold(rule, prices))
+
+
+_RISE_FALL_RISE = [*range(1, 50_001), *range(50_000, 39_000, -1),
+                   *range(50_001, 60_001)]
+
+
+@st.composite
+def _cut_runs(draw):
+    """A run of `_block_runs` or `_stack_runs`, and the ends of the ranges
+    to fold it in: random cuts, some around single bids, and len(run)."""
+    prices = draw(st.one_of(_block_runs, _stack_runs))
+    n = len(prices)
+    cuts = draw(st.lists(st.integers(0, n), max_size=30))
+    singles = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    return prices, sorted({*cuts, *singles, *(i + 1 for i in singles), n})
+
+
+@needs_kernel
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(run=_cut_runs())
+# one bid per range: a range ends at every bid, among them the bid whose
+# push raises the threshold and the bid whose sale refills the heap (both
+# happen in this run, see test_kernel_fold_top_stack_matches_python_fold)
+@example(run=(_RISE_FALL_RISE, range(1, len(_RISE_FALL_RISE) + 1)))
+# equal prices: the first 64 fill the stack, and the push of the bid at
+# index 4159 brings the heap to 4096 entries and raises the threshold; a
+# range ends on each side of that bid
+@example(run=([2.5] * 5_000, [1, 2, 3, 4_159, 4_160, 5_000]))
+def test_kernel_fold_in_ranges_is_the_whole_fold(run):
+    prices, ends = run
+    arr = np.asarray(prices, dtype=float)
+    for two_consecutive in (False, True):
+        parts = engine._fold_run(arr, two_consecutive, ends)
+        whole = engine._fold_run(arr, two_consecutive, (len(arr),))
+        for x, y in zip(parts, whole):  # sales, pool in its order, income
+            assert np.array_equal(x, y)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_kernel, "load", lambda: None)
+            python = engine._fold_run(arr, two_consecutive, ends)
+        for x, y in zip(parts[:3], python[:3]):
+            assert np.array_equal(x, y)
+        assert np.array_equal(np.sort(parts[3]), np.sort(python[3]))
+        assert parts[4] == python[4]
 
 
 def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):
