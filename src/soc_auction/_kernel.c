@@ -36,11 +36,11 @@
  * fold_state that the caller holds, so calls over [0, a), [a, b), ... give
  * the same sales, in the same slots, as one call over the whole run. That
  * lets a caller fold block k while a second thread writes block k + 1 of
- * p: single runs of at least cli.PIPELINE_MIN_BIDS bids do so when two
- * CPUs are free, with the same outputs either way. Every arrival joins the
- * pool and every sale leaves it, so after each call the pool is, in no
- * order, pool[0..hi - sales): the bucket, the heap, then the stack (a copy
- * of O(heap) entries per call). Returns the number of sales so far.
+ * p: single runs of a model do so when two CPUs are free, with the same
+ * outputs either way. Every arrival joins the pool and every sale leaves
+ * it, so after each call the pool is, in no order, pool[0..hi - sales):
+ * the bucket, the heap, then the stack (a copy of O(heap) entries per
+ * call). Returns the number of sales so far.
  *
  * sum_add, sum_round: CPython's math.fsum over a double array, bit for bit,
  * split into an add step over caller-kept partials (struct sum_state), in

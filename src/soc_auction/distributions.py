@@ -18,17 +18,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernel
-from .engine import Rule
 from .errors import InfiniteMomentError, ModelSpecError
 
 # Conjectured asymptotic never-accepted fraction for the classic selling rule.
 E_INV = math.exp(-1.0)
-
-# The asymptotic never-accepted fraction p_c of each comparison rule: the
-# conjectured 1/e for the classic rule, and for the two-consecutive rule a
-# measured 1/2 (0.49999 over 40 replicas of 10^6 bids of lognormal
-# sigma=0.3, 95% CI 0.49991-0.50008).
-RULE_PC = {Rule.CLASSIC: E_INV, Rule.TWO_CONSECUTIVE: 0.5}
 
 # Smallest uniform fed to quantile functions: a draw of exactly 0.0 would map
 # to a non-positive price, which the engine rejects.

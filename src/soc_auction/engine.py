@@ -16,11 +16,11 @@ Accept-all baseline: every bid is immediately a sale of itself.
 C kernel's `fold` (see `_kernel`), and sums the income of every rule with
 its `sum_add` and `sum_round`, a port of `math.fsum`. Where no kernel can
 be built or loaded it runs `_fold`, the Python heap loop, and `math.fsum`,
-with the same outputs about fifty times slower. Both folds resume where
-they stopped, so `_run_ranges` folds a run range by range while the prices
-past the range are still being written: `cli` draws the bids of a single
-run of at least `cli.PIPELINE_MIN_BIDS` on a second thread when two CPUs
-are free, and the outputs are the same either way.
+with the same outputs about fifty times slower. The kernel's fold resumes
+where it stopped, so `_run_ranges` folds a run range by range while the
+prices past the range are still being written: `cli` draws the bids of a
+single run of a model on a second thread when two CPUs are free and the
+kernel loads, and the outputs are the same either way.
 `AuctionEngine` feeds one bid at a time through `_fold` and sums its income
 with the same `_total_income`. `oracle_run` rescans the pool at every step
 and shares no rule code with either: it is the independent reference the
@@ -225,44 +225,48 @@ def _fold(pl, heap: list[tuple[float, int]], armed: bool, i: int,
 def _fold_run(arr: np.ndarray, two_consecutive: bool, ends):
     """The sales of a run, its pool as 0-based indices in no order, and its
     income: from the C kernel when it loads, else from `_fold` and
-    `math.fsum`. The run is folded range by range: each value of `ends` is
-    the end of the next range of `arr` whose prices are written and checked,
-    the last one len(arr), so another thread may still be writing the
-    prices past it. Every cut gives the same outputs."""
+    `math.fsum`. Each value of `ends` is the end of the next range of `arr`
+    whose prices are written and checked, the last one len(arr), so another
+    thread may still be writing the prices past it. The kernel folds range
+    by range, and every cut gives the same outputs; the Python fold holds
+    the interpreter lock, so it waits for the last range."""
     n = len(arr)
     kernel = _kernel.load()
+    if not kernel:
+        for _ in ends:
+            pass
+        entries: list[tuple[float, int]] = []
+        sale_p, acc, trig, _ = _fold(arr.tolist(), entries, True, 0,
+                                     two_consecutive)
+        pool = np.array([j for _, j in entries], dtype=np.int64) - 1
+        sale_p = np.array(sale_p, dtype=float)
+        return (sale_p, np.array(acc, dtype=np.int64),
+                np.array(trig, dtype=np.int64), pool, _total_income(sale_p))
+    # one buffer of n entries each for the sale prices, the accepted and the
+    # trigger indices, the pool and the kernel's binary heap (at most 4096
+    # entries, except after a refill with the top eighth of a bucket of more
+    # than 32768), then the fold's and the sum's states (both whole words):
+    # one allocation and one pointer read, a fixed cost that short replicas
+    # pay on every run
+    work = np.empty(5 * n + (kernel.fold_state_bytes + kernel.sum_state_bytes) // 8,
+                    dtype=np.int64)
+    work[5 * n:] = 0  # zero bytes: a fresh fold and an empty sum
+    sale_p = work[:n].view(np.float64)
+    acc, trig, pool = work[n:2 * n], work[2 * n:3 * n], work[3 * n:4 * n]
+    base = work.ctypes.data
+    outs = [base + 8 * n * k for k in range(5)]
+    state = outs[4] + 8 * n
+    income = state + kernel.fold_state_bytes
+    p = arr.ctypes.data
     lo = s = 0
-    if kernel:
-        sale_p = np.empty(n)
-        # `heap` holds the kernel's binary heap: at most 4096 entries, except
-        # after a refill with the top eighth of a bucket of more than 32768
-        acc, trig, pool, heap = (np.empty(n, dtype=np.int64) for _ in range(4))
-        # zero bytes: a fresh fold and an empty sum
-        state = ctypes.create_string_buffer(kernel.fold_state_bytes)
-        income = ctypes.create_string_buffer(kernel.sum_state_bytes)
-        p = arr.ctypes.data
-        outs = [a.ctypes.data for a in (sale_p, acc, trig, pool, heap)]
-        for hi in ends:
-            s0, s = s, kernel.fold(state, p, lo, hi, two_consecutive, *outs)
-            # this range's sales join the income as they are made
-            if kernel.sum_add(income, outs[0] + sale_p.itemsize * s0, s - s0) < 0:
-                break  # past the largest double: `_finite_income` refuses it
-            lo = hi
-        return (sale_p[:s], acc[:s], trig[:s], pool[:n - s],
-                _finite_income(kernel.sum_round(income)))
-    entries: list[tuple[float, int]] = []
-    sale_p, acc, trig, armed = [], [], [], True
     for hi in ends:
-        sp, a, t, armed = _fold(arr[lo:hi].tolist(), entries, armed, lo,
-                                two_consecutive)
-        sale_p += sp
-        acc += a
-        trig += t
+        s0, s = s, kernel.fold(state, p, lo, hi, two_consecutive, *outs)
+        # this range's sales join the income as they are made
+        if kernel.sum_add(income, outs[0] + 8 * s0, s - s0) < 0:
+            break  # past the largest double: `_finite_income` refuses it
         lo = hi
-    pool = np.array([j for _, j in entries], dtype=np.int64) - 1
-    sale_p = np.array(sale_p, dtype=float)
-    return (sale_p, np.array(acc, dtype=np.int64),
-            np.array(trig, dtype=np.int64), pool, _total_income(sale_p))
+    return (sale_p[:s], acc[:s], trig[:s], pool[:n - s],
+            _finite_income(kernel.sum_round(income)))
 
 
 def _finite_income(total: float) -> float:

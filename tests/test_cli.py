@@ -652,11 +652,9 @@ def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
 
 @pytest.fixture
 def pipelined(monkeypatch):
-    """Single runs of 1000 bids or more draw on a second thread, 333 bids at
-    a time, as if two CPUs were free; the list of the bid counts of the runs
-    that did."""
+    """Single runs draw on a second thread, 333 bids at a time, as if two
+    CPUs were free; the list of the bid counts of the runs that did."""
     monkeypatch.setattr(cli, "PIPELINE_BLOCK", 333)
-    monkeypatch.setattr(cli, "PIPELINE_MIN_BIDS", 1000)
     monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
     runs = []
     drawing = cli._drawing
