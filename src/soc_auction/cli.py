@@ -5,9 +5,8 @@ Exit codes: 0 success, 2 configuration error (or a run too large for
 memory), 3 I/O error, 4 insufficient data. All outputs are deterministic
 given the configuration and seed; reruns produce byte-identical CSV bodies.
 A single run of a model (`simulate`, `avalanches`, `replicate fig1a|fig2`)
-uses two threads when two CPUs are free and the C kernel is loaded: one
-draws the next block of bids while the kernel folds those drawn. The
-outputs are the same either way.
+draws the next block of bids on a second thread while the fold takes the
+blocks already drawn, with the outputs of drawing them all first.
 Every CSV cell follows one rule (in `_write_csv`): reals at 17 significant
 digits, which round-trips doubles losslessly; integers bare; an empty cell
 where no sale fired. When the C kernel loads it writes each block of float64
@@ -36,7 +35,8 @@ import numpy as np
 
 from . import _kernel, analytics, engine, montecarlo
 from .distributions import (E_INV, PriceModel, SeedSpec, _inverse_transform,
-                            critical_price, parse_model, sample)
+                            critical_price, parse_model)
+from .distributions import sample  # uncalled: bench/test_bench.py reads cli.sample
 from .engine import Rule, RunResult, run_sequence
 from .errors import InsufficientDataError, ModelSpecError
 
@@ -60,9 +60,8 @@ FIG2_TARGET_SLOPE = -0.54
 FIG2_TOLERANCE = 0.10
 
 
-# A single run of a model, with the C kernel loaded and two CPUs free,
-# draws PIPELINE_BLOCK bids at a time on a second thread while the fold
-# takes the blocks already drawn.
+# A single run of a model draws PIPELINE_BLOCK bids at a time on a second
+# thread while the fold takes the blocks already drawn.
 PIPELINE_BLOCK = 1 << 14
 
 CSV_BLOCK_ROWS = 1 << 12  # rows formatted at once: bounds the text held in memory
@@ -171,23 +170,17 @@ def _load_prices_file(path: str) -> np.ndarray:
 
 
 def _run(model: PriceModel | None, rule: Rule | str, n: int, seed: int,
-         prices_file: str | None = None,
+         prices: np.ndarray | None = None,
          trajectory: bool = False) -> tuple[RunResult, np.ndarray]:
-    """The one fold behind every single-run command: of the prices in
-    `prices_file` when one is given, else of `n` draws of `model` from
-    stream 0 of the master `seed`. `ntilde` is built only with `trajectory`.
-    With the C kernel loaded and two CPUs free, the draws are made on a
-    second thread while the kernel folds the blocks already drawn, with the
-    same outputs as drawing them all first."""
-    if prices_file is not None:
-        prices = _load_prices_file(prices_file)
-    elif not _kernel.load() or montecarlo._cpus() < 2:
-        prices = sample(model, SeedSpec(seed, 0), n)
-    else:
-        prices = np.empty(n)
-        with _drawing(model, SeedSpec(seed, 0).generator(), prices) as ends:
-            return engine._run_ranges(Rule(rule), prices, ends, trajectory), prices
-    return run_sequence(rule, prices, collect_trajectory=trajectory), prices
+    """The one fold behind every single-run command: of `prices` when they
+    are given, else of `n` draws of `model` from stream 0 of the master
+    `seed`, made on a second thread while the fold takes the blocks already
+    drawn. `ntilde` is built only with `trajectory`."""
+    if prices is not None:
+        return run_sequence(rule, prices, collect_trajectory=trajectory), prices
+    prices = np.empty(n)
+    with _drawing(model, SeedSpec(seed, 0).generator(), prices) as ends:
+        return engine._run_ranges(Rule(rule), prices, ends, trajectory), prices
 
 
 @contextlib.contextmanager
@@ -245,9 +238,11 @@ def _pc(ns) -> float:
     return ns.pc if ns.pc is not None else RULE_PC.get(Rule(ns.rule), E_INV)
 
 
-def _xc_for(model: PriceModel | None, prices: np.ndarray, pc: float) -> float:
+def _xc_for(model: PriceModel | None, prices: np.ndarray | None,
+            pc: float) -> float:
     """Theoretical critical price when the model is known, else the
-    empirical pc-quantile of the submitted bids."""
+    empirical pc-quantile of the submitted bids; a ValueError for a pc
+    outside (0, 1)."""
     if model is not None:
         return critical_price(model, pc)
     return analytics.empirical_critical_price(prices, pc)
@@ -294,10 +289,10 @@ def _publishing(ns):
 def cmd_simulate(ns) -> int:
     fmts = _formats(ns)
     model = None if ns.model is None else parse_model(ns.model)
-    result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file,
-                          trajectory=True)
+    prices = None if ns.prices_file is None else _load_prices_file(ns.prices_file)
     pc = _pc(ns)
-    xc = _xc_for(model, prices, pc)
+    xc = _xc_for(model, prices, pc)  # refuses a bad --pc before the run
+    result, prices = _run(model, ns.rule, ns.n, ns.seed, prices, trajectory=True)
     with _publishing(ns) as out:
         if "csv" in fmts:
             bid_index = np.arange(1, result.n_bids + 1)
@@ -352,9 +347,11 @@ def cmd_avalanches(ns) -> int:
     if ns.rule == Rule.ACCEPT_ALL:
         raise ModelSpecError("--rule accept-all sells every bid: no avalanches")
     fmts = _formats(ns)
+    analytics._log_grid(ns.kmin, ns.kmax)  # refuses a bad k range before the run
     model = None if ns.model is None else parse_model(ns.model)
-    result, prices = _run(model, ns.rule, ns.n, ns.seed, ns.prices_file)
-    xc = _xc_for(model, prices, _pc(ns))
+    prices = None if ns.prices_file is None else _load_prices_file(ns.prices_file)
+    xc = _xc_for(model, prices, _pc(ns))  # and a bad --pc too
+    result, prices = _run(model, ns.rule, ns.n, ns.seed, prices)
     # fit before writing, so a failed fit leaves no output behind
     avalanches, fit = _avalanche_fit(result.sale_prices, xc, ns.kmin, ns.kmax,
                                      ns.seed)

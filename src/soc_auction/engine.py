@@ -18,9 +18,9 @@ its `sum_add` and `sum_round`, a port of `math.fsum`. Where no kernel can
 be built or loaded it runs `_fold`, the Python heap loop, and `math.fsum`,
 with the same outputs about fifty times slower. The kernel's fold resumes
 where it stopped, so `_run_ranges` folds a run range by range while the
-prices past the range are still being written: `cli` draws the bids of a
-single run of a model on a second thread when two CPUs are free and the
-kernel loads, and the outputs are the same either way.
+prices past the range are still being written: `cli` draws the bids of
+every single run of a model on a second thread, with the outputs of one
+range.
 `AuctionEngine` feeds one bid at a time through `_fold` and sums its income
 with the same `_total_income`. `oracle_run` rescans the pool at every step
 and shares no rule code with either: it is the independent reference the

@@ -24,8 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soc_auction import (E_INV, LogNormal, Rule, SeedSpec, _kernel, cli,
-                         critical_price, montecarlo, parse_model,
-                         run_sequence, sample)
+                         critical_price, parse_model, run_sequence, sample)
 from soc_auction.cli import (CSV_BLOCK_ROWS, FIG1B_GRID, FIG1B_N, FIG1B_SEED,
                              FIG_MODEL, _write_csv, build_parser, main)
 
@@ -615,7 +614,35 @@ def test_law_past_the_doubles_is_config_error(tmp_path, capsys, command, spec):
     assert not out.exists()
 
 
-def test_avalanches_k_range_below_one_is_config_error(tmp_path, capsys):
+@pytest.fixture
+def refused_before_the_run(monkeypatch):
+    """`cli._run` raises instead of drawing or folding: a command that
+    refuses its flags must do so before its run."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "_run", ran)
+
+
+@pytest.mark.parametrize("command", ["simulate", "avalanches"])
+@pytest.mark.parametrize("source", ["model", "prices-file"])
+@pytest.mark.parametrize("pc", ["0", "1.5", "nan"])
+def test_pc_outside_the_unit_interval_is_config_error(
+        tmp_path, capsys, refused_before_the_run, command, source, pc):
+    pf = tmp_path / "prices.txt"
+    pf.write_text(WORKED)
+    out = tmp_path / "out"
+    rc = main([command, *(["--model", FIG_MODEL] if source == "model"
+                          else ["--prices-file", str(pf)]),
+               "--pc", pc, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: pc must be in (0, 1), got {float(pc)}\n")
+    assert not out.exists()
+
+
+def test_avalanches_k_range_below_one_is_config_error(tmp_path, capsys,
+                                                      refused_before_the_run):
     out = tmp_path / "out"
     rc = main(["avalanches", "--model", "uniform:lo=0,hi=1", "--n", "1000",
                "--kmin", "0", "--kmax", "50", "--out", str(out)])
@@ -624,7 +651,8 @@ def test_avalanches_k_range_below_one_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_avalanches_k_range_past_the_exact_integers_is_config_error(tmp_path, capsys):
+def test_avalanches_k_range_past_the_exact_integers_is_config_error(
+        tmp_path, capsys, refused_before_the_run):
     out = tmp_path / "out"
     rc = main(["avalanches", "--model", "lognormal:mu=0,sigma=0.3", "--n",
                "20000", "--kmin", "1", "--kmax", "99999999999999999999",
@@ -634,37 +662,10 @@ def test_avalanches_k_range_past_the_exact_integers_is_config_error(tmp_path, ca
     assert not out.exists()
 
 
-def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
-    def no_memory(model, seed, n):
-        raise MemoryError(f"Unable to allocate {8 * n} bytes")
-
-    # the serial route, the one that calls `sample`
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
-    monkeypatch.setattr("soc_auction.cli.sample", no_memory)
-    out = tmp_path / "out"
-    rc = main(["simulate", "--model", "uniform:lo=0,hi=1", "--n", "1e13",
-               "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: out of memory: Unable to allocate 80000000000000 bytes\n")
-    assert not out.exists()
-
-
 @pytest.fixture
 def pipelined(monkeypatch):
-    """Single runs draw on a second thread, 333 bids at a time, as if two
-    CPUs were free; the list of the bid counts of the runs that did."""
+    """Single runs of a model draw 333 bids at a time on the second thread."""
     monkeypatch.setattr(cli, "PIPELINE_BLOCK", 333)
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
-    runs = []
-    drawing = cli._drawing
-
-    def spy(model, gen, prices):
-        runs.append(len(prices))
-        return drawing(model, gen, prices)
-
-    monkeypatch.setattr(cli, "_drawing", spy)
-    return runs
 
 
 # every law, under every rule
@@ -673,8 +674,12 @@ PIPELINE_LAWS = ("exponential:rate=2", FIG_MODEL, "uniform:lo=1,hi=3",
                  "truncated:base=1.2,inner=lognormal:mu=0,sigma=0.3")
 
 
-@needs_kernel
 def test_pipelined_runs_write_the_serial_files(tmp_path, monkeypatch, pipelined):
+    # a fig2 small enough to fold quickly in Python, on a k range its run
+    # can fill
+    monkeypatch.setattr(cli, "FIG2_N", 50_000)
+    monkeypatch.setattr(cli, "FIG2_KMIN", 2)
+    monkeypatch.setattr(cli, "FIG2_KMAX", 200)
     runs = {f"{law}-{rule.value}": ["simulate", "--model", law, "--rule",
                                     rule.value, "--n", "20000", "--seed", "3"]
             for law in PIPELINE_LAWS for rule in Rule}
@@ -685,34 +690,27 @@ def test_pipelined_runs_write_the_serial_files(tmp_path, monkeypatch, pipelined)
         runs[f"fig2-{seed}"] = ["replicate", "fig2", "--seed", seed]
     outputs = {}
     for route in ("pipelined", "serial"):
-        if route == "serial":
-            monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        if route == "serial":  # one block of every bid, drawn before the fold
+            monkeypatch.setattr(cli, "PIPELINE_BLOCK", 50_000)  # the largest run
         for name, argv in runs.items():
             assert main([*argv, "--out", str(tmp_path / route / name)]) == 0
         outputs[route] = {p.relative_to(tmp_path / route): p.read_bytes()
                           for p in (tmp_path / route).rglob("*") if p.is_file()}
-        assert len(pipelined) == len(runs)  # the serial route draws at once
     assert len(outputs["serial"]) == 2 * len(runs) + 1  # avalanches writes 3
     assert outputs["pipelined"] == outputs["serial"]
 
 
-@needs_kernel
-@pytest.mark.parametrize("route", ["serial", "pipelined"])
-def test_income_overflow_of_a_model_run_is_config_error(
-        tmp_path, monkeypatch, capsys, pipelined, route):
+def test_income_overflow_of_a_model_run_is_config_error(tmp_path, capsys,
+                                                        pipelined):
     # the sales pass the largest double at bid 2750, in the ninth block drawn
-    if route == "serial":
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
     out = tmp_path / "out"
     rc = main(["simulate", "--model", "pareto:xmin=1e305,alpha=50",
                "--n", "1e4", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == "error: total income overflows a double\n"
-    assert pipelined == ([10_000] if route == "pipelined" else [])
     assert not out.exists()
 
 
-@needs_kernel
 @pytest.mark.parametrize("error, code", [(ValueError("no draw"), 2),
                                          (OSError("no draw"), 3)])
 def test_draw_thread_error_is_the_exit_code(tmp_path, monkeypatch, capsys,
@@ -732,7 +730,7 @@ def test_draw_thread_error_is_the_exit_code(tmp_path, monkeypatch, capsys,
     rc = main(["simulate", "--model", FIG_MODEL, "--n", "1e4", "--out", str(out)])
     assert rc == code
     assert capsys.readouterr().err == "error: no draw\n"
-    assert pipelined == [10_000] and blocks == [333] * 3
+    assert blocks == [333] * 3
     assert threading.active_count() == threads
     assert not out.exists()
 
@@ -755,17 +753,13 @@ def test_fold_error_stops_and_joins_the_draw_thread(tmp_path, monkeypatch,
                "--n", "1e5", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == "error: total income overflows a double\n"
-    assert pipelined == [100_000]
     assert 9 <= len(drawn) < 30
     assert threading.active_count() == threads
     assert not out.exists()
 
 
-@needs_kernel
 def test_out_of_memory_on_the_draw_thread_is_config_error(
         tmp_path, monkeypatch, capsys, pipelined):
-    # the pipelined twin of test_out_of_memory_is_config_error, which
-    # patches `sample`: this route draws without it
     threads = threading.active_count()
 
     def no_memory(model, u):
@@ -778,7 +772,6 @@ def test_out_of_memory_on_the_draw_thread_is_config_error(
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 2664 bytes\n")
-    assert pipelined == [10_000]
     assert threading.active_count() == threads
     assert not out.exists()
 
@@ -856,12 +849,8 @@ def test_avalanches_moderate_run_writes_fit(tmp_path):
             == (tmp_path / "again" / "tail_fit.json").read_bytes())
 
 
-def test_avalanches_accept_all_is_refused_before_it_folds(tmp_path, capsys,
-                                                         monkeypatch):
-    def no_sample(model, seed, n):
-        raise AssertionError("sampled")
-
-    monkeypatch.setattr(cli, "sample", no_sample)
+def test_avalanches_accept_all_is_refused_before_it_folds(
+        tmp_path, capsys, refused_before_the_run):
     out = tmp_path / "out"
     rc = main(["avalanches", "--model", "lognormal:mu=0,sigma=0.3", "--rule",
                "accept-all", "--n", "1000", "--out", str(out)])
