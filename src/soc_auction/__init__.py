@@ -5,7 +5,7 @@ from .analytics import (AvalancheSet, B_DEFAULT, DistributionChecks, TailFit,
                         TheorySummary, empirical_critical_price,
                         empirical_distribution_checks, fit_power_tail,
                         ks_critical_value, ks_statistic, segment_avalanches,
-                        survival_function, theory_summary)
+                        theory_summary)
 from .distributions import (E_INV, Exponential, LogNormal, Pareto, PriceModel,
                             SeedSpec, Truncated, Uniform, critical_price,
                             parse_model, quantile, sample, uniform_stream)
@@ -28,6 +28,6 @@ __all__ = [
     "empirical_distribution_checks", "estimate_af", "estimate_b",
     "estimate_pc", "fit_power_tail", "ks_critical_value", "ks_statistic",
     "oracle_run", "parse_model", "quantile", "run_replicas", "run_sequence",
-    "sample", "segment_avalanches", "survival_function", "theory_summary",
-    "ti_normality", "uniform_stream",
+    "sample", "segment_avalanches", "theory_summary", "ti_normality",
+    "uniform_stream",
 ]

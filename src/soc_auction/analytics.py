@@ -240,10 +240,9 @@ def _log_grid(k_min, k_max) -> np.ndarray:
     return ks[(ks >= k_min) & (ks <= k_max)]
 
 
-def _survival(durations, ks=None) -> tuple[np.ndarray, np.ndarray]:
-    """`ks` and P(tau > k) = 1 - #{tau <= k} / n at each k of `ks`, or at
-    every k from 0 to the longest duration when `ks` is None. Durations must
-    be whole numbers >= 1; the first that is not is named in a ValueError."""
+def _survival(durations, ks) -> np.ndarray:
+    """P(tau > k) = 1 - #{tau <= k} / n at each k of `ks`. Durations must be
+    whole numbers >= 1; the first that is not is named in a ValueError."""
     d = np.asarray(durations)
     if d.size == 0:
         raise ValueError("empty durations")
@@ -251,32 +250,21 @@ def _survival(durations, ks=None) -> tuple[np.ndarray, np.ndarray]:
     if len(bad):
         raise ValueError(f"durations must be whole numbers >= 1, got "
                          f"{d[bad[0]]} at index {bad[0]}")
-    d = np.sort(d)
-    if ks is None:
-        ks = np.arange(0, d[-1] + 1, dtype=np.int64)
-    return ks, 1.0 - np.searchsorted(d, ks, side="right") / len(d)
+    return 1.0 - np.searchsorted(np.sort(d), ks, side="right") / len(d)
 
 
-def survival_function(durations, *, grid: str = "all",
-                      k_min: Optional[float] = None,
-                      k_max: Optional[float] = None,
+# Kept for the bench alone: bench/workloads.py checks a fig2 refusal with it,
+# and bench/tracer.py wraps it by name. The package reads the same points
+# from `fit_power_tail(...).k` and `.survival`.
+def survival_function(durations, *, grid: str, k_min: float, k_max: float,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical survival P(tau > k) of whole-number durations >= 1.
-
-    grid="all": every integer k from 0 to max(durations); takes no k range.
-    grid="log": the log-spaced integers of [k_min, k_max] (both required),
-    deduplicated, with zero-survival points dropped (they have no log
-    representation).
-    """
-    if grid not in ("all", "log"):
-        raise ValueError(f"grid must be 'all' or 'log', got {grid!r}")
-    if (grid == "all" and (k_min, k_max) != (None, None)
-            or grid == "log" and None in (k_min, k_max)):
-        raise ValueError("grid='log' takes both k_min and k_max, grid='all' "
-                         f"neither; got grid={grid!r}, [{k_min}, {k_max}]")
-    if grid == "all":
-        return _survival(durations)
-    ks, p = _survival(durations, _log_grid(k_min, k_max))
+    """The points `fit_power_tail(durations, k_min, k_max)` fits: the
+    log-spaced integers k of [k_min, k_max] with P(tau > k) > 0, and those
+    survivals. `grid` other than "log" is a ValueError."""
+    if grid != "log":
+        raise ValueError(f"grid must be 'log', got {grid!r}")
+    ks = _log_grid(k_min, k_max)
+    p = _survival(durations, ks)
     return ks[p > 0], p[p > 0]
 
 
@@ -329,7 +317,7 @@ def _bootstrap_slopes(d: np.ndarray, ks: np.ndarray, n_bootstrap: int,
     at once to its survival row."""
     boots = [np.empty(0)]
     for rows in _resample_blocks({"d": d}, n_bootstrap, seed,
-                                 cut=lambda v: _survival(v, ks)[1]):
+                                 cut=lambda v: _survival(v, ks)):
         slopes, n = _median_slopes(ks, rows["d"])
         boots.append(slopes[n >= 3])
     return np.concatenate(boots)
@@ -337,10 +325,10 @@ def _bootstrap_slopes(d: np.ndarray, ks: np.ndarray, n_bootstrap: int,
 
 def fit_power_tail(durations, k_min: float, k_max: float, *,
                    n_bootstrap: int = 250, seed: int = 0) -> TailFit:
-    """Slope of log P(tau > k) versus log k over the points that
-    `survival_function(durations, grid="log", k_min=k_min, k_max=k_max)`
-    returns: the median of the slopes between every two of them
-    (`_median_slopes`). At least 10 points are needed.
+    """Slope of log P(tau > k) versus log k over the log-spaced integers k
+    of [k_min, k_max] (`_log_grid`) with P(tau > k) > 0: the median of the
+    slopes between every two of these points (`_median_slopes`), which the
+    fit carries as `k` and `survival`. At least 10 points are needed.
 
     Scale-free and resistant to the finite-size drop at the far tail.
     stderr is the standard deviation of the same slope over the
@@ -355,7 +343,7 @@ def fit_power_tail(durations, k_min: float, k_max: float, *,
     if n_bootstrap < 0:
         raise ValueError(f"n_bootstrap must be >= 0, got {n_bootstrap}")
     d, ks = np.asarray(durations), _log_grid(k_min, k_max)
-    p = _survival(d, ks)[1]
+    p = _survival(d, ks)
     (slope,), (n_points,) = _median_slopes(ks, p[None])
     if n_points < 10:
         raise InsufficientDataError(f"only {n_points} survival points in "

@@ -292,7 +292,8 @@ def cmd_simulate(ns) -> int:
     prices = None if ns.prices_file is None else _load_prices_file(ns.prices_file)
     pc = _pc(ns)
     xc = _xc_for(model, prices, pc)  # refuses a bad --pc before the run
-    result, prices = _run(model, ns.rule, ns.n, ns.seed, prices, trajectory=True)
+    result, prices = _run(model, ns.rule, ns.n, ns.seed, prices,
+                          trajectory="csv" in fmts)
     with _publishing(ns) as out:
         if "csv" in fmts:
             bid_index = np.arange(1, result.n_bids + 1)

@@ -16,7 +16,7 @@ from soc_auction import (E_INV, Exponential, InsufficientDataError, LogNormal,
                          empirical_distribution_checks, fit_power_tail,
                          ks_critical_value, ks_statistic, parse_model, quantile,
                          run_sequence, sample, segment_avalanches,
-                         survival_function, theory_summary)
+                         theory_summary)
 from test_distributions import ALL_MODELS
 
 
@@ -168,8 +168,13 @@ def test_segmentation_conserves_sale_count():
 # survival function
 # =====================================================================
 
+survival_function = analytics.survival_function
+
+
 def test_survival_function_direct_counts():
-    k, p = survival_function([1, 1, 2, 5])
+    d = [1, 1, 2, 5]
+    k = np.arange(max(d) + 1)
+    p = analytics._survival(d, k)
     sf = dict(zip(k.tolist(), p.tolist()))
     assert sf[0] == 1.0
     assert sf[1] == 0.5
@@ -180,8 +185,9 @@ def test_survival_function_direct_counts():
 
 
 def test_survival_function_constant_durations():
-    k, p = survival_function([3, 3, 3])
-    sf = dict(zip(k.tolist(), p.tolist()))
+    d = [3, 3, 3]
+    k = np.arange(max(d) + 1)
+    sf = dict(zip(k.tolist(), analytics._survival(d, k).tolist()))
     assert sf[2] == 1.0 and sf[3] == 0.0
 
 
@@ -204,34 +210,35 @@ def test_log_grid_stays_inside_the_k_range(k_min, k_max):
 
 
 def test_survival_function_errors():
-    with pytest.raises(ValueError):
-        survival_function([])
-    with pytest.raises(ValueError):
-        survival_function([1, 2], grid="bogus")
+    with pytest.raises(ValueError, match="empty durations"):
+        survival_function([], grid="log", k_min=1, k_max=10)
+    with pytest.raises(ValueError, match="grid must be 'log', got 'all'"):
+        survival_function([1, 2], grid="all", k_min=1, k_max=10)
     with pytest.raises(ValueError):
         survival_function([1, 2], grid="log", k_min=5, k_max=2)
     with pytest.raises(ValueError, match=r"k_max <= 2\*\*53"):
         survival_function([1, 2], grid="log", k_min=1, k_max=math.inf)
 
 
-@pytest.mark.parametrize("kwargs", [{"k_min": 2, "k_max": 3}, {"k_min": 2},
-                                    {"k_max": 3}])
-def test_survival_function_all_grid_refuses_a_k_range(kwargs):
-    with pytest.raises(ValueError, match="grid='all'"):
-        survival_function([1, 2, 3, 4], **kwargs)
-
-
 @pytest.mark.parametrize("kwargs", [{}, {"k_min": 2}, {"k_max": 3}])
 def test_survival_function_log_grid_needs_a_k_range(kwargs):
-    with pytest.raises(ValueError, match="grid='log'"):
+    with pytest.raises(TypeError, match="k_m"):
         survival_function([1, 2, 3, 4], grid="log", **kwargs)
+
+
+def test_survival_function_returns_the_points_the_fit_carries():
+    durations = sample_discrete_power_law(1.5, 20_000, 1_000_000, seed=55)
+    fit = fit_power_tail(durations, 100, 10_000, n_bootstrap=0)
+    k, p = survival_function(durations, grid="log", k_min=100, k_max=10_000)
+    assert np.array_equal(k, fit.k) and k.dtype == fit.k.dtype == np.int64
+    assert (np.array_equal(p, fit.survival)
+            and p.dtype == fit.survival.dtype == np.float64)
 
 
 @pytest.mark.parametrize("durations, named", [
     ([1.5, 2.7, 3.9], "1.5 at index 0"), ([2, 0, -3, 5], "0 at index 1"),
     ([1.0, 2.0, math.nan], "nan at index 2"), ([3, math.inf], "inf at index 1")])
 @pytest.mark.parametrize("survival", [
-    survival_function,
     lambda d: survival_function(d, grid="log", k_min=1, k_max=10),
     lambda d: fit_power_tail(d, 1, 10)])
 def test_durations_must_be_whole_numbers_from_one(durations, named, survival):
@@ -331,13 +338,21 @@ def median_pairwise_slope(k, p) -> float:
     return float(np.median(slopes)) if slopes else math.nan
 
 
+def counted_survival(d, k_min, k_max):
+    """The points of the log grid with P(tau > k) > 0, counting #{tau <= k}
+    directly, then 1 - count / n as the fit does, so the bits agree."""
+    ks, d = analytics._log_grid(k_min, k_max), np.asarray(d)
+    p = 1.0 - (d[:, None] <= ks).sum(0) / len(d)
+    return ks[p > 0], p[p > 0]
+
+
 def bootstrap_one_resample_at_a_time(d, k_min, k_max, n_bootstrap, seed):
     """The tail-fit bootstrap as one survival and one median per resample."""
     rng = SeedSpec(seed).generator()
     boots = []
     for _ in range(n_bootstrap):
         resample = rng.choice(d, size=len(d), replace=True)
-        k, p = survival_function(resample, grid="log", k_min=k_min, k_max=k_max)
+        k, p = counted_survival(resample, k_min, k_max)
         inside = (k >= k_min) & (k <= k_max)
         if inside.sum() >= 3:
             boots.append(median_pairwise_slope(k[inside], p[inside]))
@@ -366,7 +381,7 @@ def test_batched_bootstrap_matches_one_resample_at_a_time(seed, n, alpha, k_min,
 @example(durations=list(range(1, 40)), k_min=1, k_max=99.5)  # P = 0 past 39
 def test_fit_slope_is_the_median_of_pairwise_slopes(durations, k_min, k_max):
     # drawn durations come in any order, and repeat often
-    ks, p = survival_function(durations, grid="log", k_min=k_min, k_max=k_max)
+    ks, p = counted_survival(durations, k_min, k_max)
     if len(ks) < 10:
         with pytest.raises(InsufficientDataError,
                            match=f"only {len(ks)} survival points"):

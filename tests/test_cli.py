@@ -24,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soc_auction import (E_INV, LogNormal, Rule, SeedSpec, _kernel, cli,
-                         critical_price, parse_model, run_sequence, sample)
+                         critical_price, engine, parse_model, run_sequence,
+                         sample)
 from soc_auction.cli import (CSV_BLOCK_ROWS, FIG1B_GRID, FIG1B_N, FIG1B_SEED,
                              FIG_MODEL, _write_csv, build_parser, main)
 
@@ -363,6 +364,24 @@ def test_simulate_format_subsets(tmp_path):
     assert rc == 0
     assert (tmp_path / "events.csv").exists()
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("source", ["model", "prices"])
+def test_simulate_json_alone_builds_no_trajectory(tmp_path, monkeypatch, source):
+    # only events.csv reads ntilde, two int64 arrays of n entries
+    args = ["--model", "lognormal:mu=0,sigma=0.3", "--n", "5000", "--seed", "3"]
+    if source == "prices":
+        (tmp_path / "prices.txt").write_text(WORKED)
+        args = ["--prices-file", str(tmp_path / "prices.txt")]
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert main(["simulate", *args, "--format", "csv,json", "--out", str(both)]) == 0
+
+    def built(*_):
+        raise AssertionError("ntilde was built")
+    monkeypatch.setattr(engine, "_ntilde", built)
+    assert main(["simulate", *args, "--format", "json", "--out", str(alone)]) == 0
+    assert ((alone / "summary.json").read_bytes()
+            == (both / "summary.json").read_bytes())
 
 
 def test_simulate_base_price_truncates(tmp_path):
