@@ -23,6 +23,7 @@ import numpy as np
 
 from .distributions import (E_INV, PriceModel, _resample_blocks,
                             critical_price)
+from .engine import _check_prices
 from .errors import InfiniteMomentError, InsufficientDataError
 
 # Asymptotic variance constant of the accepted-bid count, var ~ b N.
@@ -96,10 +97,7 @@ def empirical_critical_price(prices, pc: float = E_INV) -> float:
     prices = np.asarray(prices, dtype=float)
     if prices.size == 0:
         raise ValueError("empty price sample")
-    ok = np.isfinite(prices) & (prices > 0)
-    if not ok.all():
-        raise ValueError(f"prices must be finite and > 0, "
-                         f"got {prices[np.argmin(ok)]}")
+    _check_prices(prices)
     return float(np.quantile(prices, pc))
 
 

@@ -170,17 +170,16 @@ def _load_prices_file(path: str) -> np.ndarray:
 
 
 def _run(model: PriceModel | None, rule: Rule | str, n: int, seed: int,
-         prices: np.ndarray | None = None,
-         trajectory: bool = False) -> tuple[RunResult, np.ndarray]:
-    """The one fold behind every single-run command: of `prices` when they
-    are given, else of `n` draws of `model` from stream 0 of the master
-    `seed`, made on a second thread while the fold takes the blocks already
-    drawn. `ntilde` is built only with `trajectory`."""
+         prices: np.ndarray | None = None) -> tuple[RunResult, np.ndarray]:
+    """The one fold behind every single-run command, with no `ntilde`: of
+    `prices` when they are given, else of `n` draws of `model` from stream 0
+    of the master `seed`, made on a second thread while the fold takes the
+    blocks already drawn."""
     if prices is not None:
-        return run_sequence(rule, prices, collect_trajectory=trajectory), prices
+        return run_sequence(rule, prices, collect_trajectory=False), prices
     prices = np.empty(n)
     with _drawing(model, SeedSpec(seed, 0).generator(), prices) as ends:
-        return engine._run_ranges(Rule(rule), prices, ends, trajectory), prices
+        return engine._run_ranges(Rule(rule), prices, ends), prices
 
 
 @contextlib.contextmanager
@@ -292,12 +291,12 @@ def cmd_simulate(ns) -> int:
     prices = None if ns.prices_file is None else _load_prices_file(ns.prices_file)
     pc = _pc(ns)
     xc = _xc_for(model, prices, pc)  # refuses a bad --pc before the run
-    result, prices = _run(model, ns.rule, ns.n, ns.seed, prices,
-                          trajectory="csv" in fmts)
+    result, prices = _run(model, ns.rule, ns.n, ns.seed, prices)
     with _publishing(ns) as out:
         if "csv" in fmts:
+            ntilde = engine._ntilde(result.trigger_indices, result.n_bids)
             bid_index = np.arange(1, result.n_bids + 1)
-            sale_flag = np.diff(result.ntilde, prepend=0)
+            sale_flag = np.diff(ntilde, prepend=0)
             sale_price = np.zeros(result.n_bids)
             sale_price[result.trigger_indices - 1] = result.sale_prices
             no_sale = sale_flag == 0
@@ -305,7 +304,7 @@ def cmd_simulate(ns) -> int:
                 "bid_index": bid_index, "price": prices, "sale_flag": sale_flag,
                 "sale_price": np.ma.array(sale_price, mask=no_sale),
                 "trigger_index": np.ma.array(bid_index, mask=no_sale),
-                "ntilde": result.ntilde})
+                "ntilde": ntilde})
         if "json" in fmts:
             _write_json(out / "summary.json", {
                 "n_bids": result.n_bids,

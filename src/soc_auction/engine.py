@@ -179,7 +179,7 @@ def _check_prices(arr: np.ndarray) -> None:
     """Refuse prices that are not all finite and > 0, naming the first."""
     ok = (arr > 0) & (arr < math.inf)
     if not ok.all():
-        raise ValueError(f"bid prices must be finite and > 0, got {arr[np.argmin(ok)]}")
+        raise ValueError(f"bid prices must be finite and > 0, got {arr.flat[np.argmin(ok)]}")
 
 
 def _validate_prices(prices) -> np.ndarray:
@@ -220,53 +220,6 @@ def _fold(pl, heap: list[tuple[float, int]], armed: bool, i: int,
         if two_consecutive:
             armed = x < -heap[0][0]
     return sale_p, acc, trig, armed
-
-
-def _fold_run(arr: np.ndarray, two_consecutive: bool, ends):
-    """The sales of a run, its pool as 0-based indices in no order, and its
-    income: from the C kernel when it loads, else from `_fold` and
-    `math.fsum`. Each value of `ends` is the end of the next range of `arr`
-    whose prices are written and checked, the last one len(arr), so another
-    thread may still be writing the prices past it. The kernel folds range
-    by range, and every cut gives the same outputs; the Python fold holds
-    the interpreter lock, so it waits for the last range."""
-    n = len(arr)
-    kernel = _kernel.load()
-    if not kernel:
-        for _ in ends:
-            pass
-        entries: list[tuple[float, int]] = []
-        sale_p, acc, trig, _ = _fold(arr.tolist(), entries, True, 0,
-                                     two_consecutive)
-        pool = np.array([j for _, j in entries], dtype=np.int64) - 1
-        sale_p = np.array(sale_p, dtype=float)
-        return (sale_p, np.array(acc, dtype=np.int64),
-                np.array(trig, dtype=np.int64), pool, _total_income(sale_p))
-    # one buffer of n entries each for the sale prices, the accepted and the
-    # trigger indices, the pool and the kernel's binary heap (at most 4096
-    # entries, except after a refill with the top eighth of a bucket of more
-    # than 32768), then the fold's and the sum's states (both whole words):
-    # one allocation and one pointer read, a fixed cost that short replicas
-    # pay on every run
-    work = np.empty(5 * n + (kernel.fold_state_bytes + kernel.sum_state_bytes) // 8,
-                    dtype=np.int64)
-    work[5 * n:] = 0  # zero bytes: a fresh fold and an empty sum
-    sale_p = work[:n].view(np.float64)
-    acc, trig, pool = work[n:2 * n], work[2 * n:3 * n], work[3 * n:4 * n]
-    base = work.ctypes.data
-    outs = [base + 8 * n * k for k in range(5)]
-    state = outs[4] + 8 * n
-    income = state + kernel.fold_state_bytes
-    p = arr.ctypes.data
-    lo = s = 0
-    for hi in ends:
-        s0, s = s, kernel.fold(state, p, lo, hi, two_consecutive, *outs)
-        # this range's sales join the income as they are made
-        if kernel.sum_add(income, outs[0] + 8 * s0, s - s0) < 0:
-            break  # past the largest double: `_finite_income` refuses it
-        lo = hi
-    return (sale_p[:s], acc[:s], trig[:s], pool[:n - s],
-            _finite_income(kernel.sum_round(income)))
 
 
 def _finite_income(total: float) -> float:
@@ -310,29 +263,66 @@ def run_sequence(rule: Rule | str, prices, *,
     a ValueError. `ntilde` is built only when collect_trajectory is true.
     """
     arr = _validate_prices(prices)
-    return _run_ranges(Rule(rule), arr, (len(arr),), collect_trajectory)
+    run = _run_ranges(Rule(rule), arr, (len(arr),))
+    if collect_trajectory:
+        run.ntilde = _ntilde(run.trigger_indices, run.n_bids)
+    return run
 
 
-def _run_ranges(rule: Rule, arr: np.ndarray, ends,
-                collect_trajectory: bool) -> RunResult:
+def _run_ranges(rule: Rule, arr: np.ndarray, ends) -> RunResult:
     """`run_sequence` of checked prices that may still be being written,
-    with `ends` as in `_fold_run`. The accept-all rule waits for the last
-    range."""
+    with an empty `ntilde`. Each value of `ends` is the end of the next
+    range of `arr` whose prices are written and checked, the last one
+    len(arr), so another thread may still be writing the prices past it.
+    The C kernel folds the comparison rules range by range, and every cut
+    gives the same outputs; accept-all and the Python fold, which holds the
+    interpreter lock, wait for the last range."""
     n = len(arr)
-    if rule is Rule.ACCEPT_ALL:
+    kernel = rule is not Rule.ACCEPT_ALL and _kernel.load()
+    if kernel:
+        # one buffer of n entries each for the sale prices, the accepted and
+        # the trigger indices, the pool and the kernel's binary heap (at
+        # most 4096 entries, except after a refill with the top eighth of a
+        # bucket of more than 32768), then the fold's and the sum's states
+        # (both whole words): one allocation and one pointer read, a fixed
+        # cost that short replicas pay on every run
+        work = np.empty(5 * n + (kernel.fold_state_bytes + kernel.sum_state_bytes) // 8,
+                        dtype=np.int64)
+        work[5 * n:] = 0  # zero bytes: a fresh fold and an empty sum
+        base = work.ctypes.data
+        outs = [base + 8 * n * k for k in range(5)]
+        state = outs[4] + 8 * n
+        income = state + kernel.fold_state_bytes
+        p = arr.ctypes.data
+        two_consecutive = rule is Rule.TWO_CONSECUTIVE
+        lo = s = 0
+        for hi in ends:
+            s0, s = s, kernel.fold(state, p, lo, hi, two_consecutive, *outs)
+            # this range's sales join the income as they are made
+            if kernel.sum_add(income, outs[0] + 8 * s0, s - s0) < 0:
+                break  # past the largest double: `_finite_income` refuses it
+            lo = hi
+        sale_p = work[:s].view(np.float64)
+        acc, trig, pool = work[n:n + s], work[2 * n:2 * n + s], work[3 * n:4 * n - s]
+        total = _finite_income(kernel.sum_round(income))
+    else:
         for _ in ends:
             pass
-        sale_p = arr.copy()
-        acc = trig = np.arange(1, n + 1, dtype=np.int64)
-        pool = np.empty(0, dtype=np.int64)
+        if rule is Rule.ACCEPT_ALL:
+            sale_p = arr.copy()
+            acc = trig = np.arange(1, n + 1, dtype=np.int64)
+            pool = np.empty(0, dtype=np.int64)
+        else:
+            entries: list[tuple[float, int]] = []
+            sale_p, acc, trig, _ = _fold(arr.tolist(), entries, True, 0,
+                                         rule is Rule.TWO_CONSECUTIVE)
+            sale_p = np.array(sale_p, dtype=float)
+            acc, trig = np.array(acc, dtype=np.int64), np.array(trig, dtype=np.int64)
+            pool = np.array([j for _, j in entries], dtype=np.int64) - 1
         total = _total_income(sale_p)
-    else:
-        sale_p, acc, trig, pool, total = _fold_run(
-            arr, rule is Rule.TWO_CONSECUTIVE, ends)
     return RunResult(
         rule=rule, n_bids=n, sale_prices=sale_p, accepted_indices=acc,
-        trigger_indices=trig,
-        ntilde=_ntilde(trig, n) if collect_trajectory else np.empty(0, dtype=np.int64),
+        trigger_indices=trig, ntilde=np.empty(0, dtype=np.int64),
         total_income=total, _prices=arr, _pool=pool,
     )
 

@@ -35,6 +35,9 @@ class ReplicaResult:
     seed: SeedSpec
 
 
+_LEVEL = 0.95  # the confidence level of every estimate's interval
+
+
 @dataclass(frozen=True)
 class EstimateWithCI:
     point: float
@@ -42,11 +45,6 @@ class EstimateWithCI:
     ci_high: float
     n_replicas: int
     level: float
-
-
-def _check_level(level: float) -> None:
-    if not 0 < level < 1:
-        raise ValueError(f"level must be in (0, 1), got {level}")
 
 
 def _one_replica(model: PriceModel, rule: Rule, n_bids: int,
@@ -141,7 +139,7 @@ def _check_uniform_n(results: list[ReplicaResult]) -> int:
     return ns.pop()
 
 
-def _bootstrap_ci(stat, samples: dict, level: float, n_bootstrap: int,
+def _bootstrap_ci(stat, samples: dict, n_bootstrap: int,
                   seed: int) -> EstimateWithCI:
     """`stat(samples)` with a percentile CI over the resamples that
     `_resample_blocks(samples, n_bootstrap, seed)` draws.
@@ -149,18 +147,17 @@ def _bootstrap_ci(stat, samples: dict, level: float, n_bootstrap: int,
     `stat` reduces the last axis, so it takes a block of resamples at once:
     the resamples of each array are the rows of one matrix.
     """
-    _check_level(level)
     if n_bootstrap < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     point = float(stat(samples))
     boots = np.concatenate([stat(rows) for rows in
                             _resample_blocks(samples, n_bootstrap, seed)])
-    lo, hi = np.quantile(boots, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = np.quantile(boots, [(1 - _LEVEL) / 2, (1 + _LEVEL) / 2])
     return EstimateWithCI(point, min(float(lo), point), max(float(hi), point),
-                          sum(map(len, samples.values())), level)
+                          sum(map(len, samples.values())), _LEVEL)
 
 
-def estimate_pc(results: list[ReplicaResult], level: float = 0.95) -> EstimateWithCI:
+def estimate_pc(results: list[ReplicaResult]) -> EstimateWithCI:
     """Estimate the never-accepted fraction: 1 - mean(n_sales)/N.
 
     Normal-approximation CI from the replica spread.
@@ -171,15 +168,13 @@ def estimate_pc(results: list[ReplicaResult], level: float = 0.95) -> EstimateWi
     fracs = np.array([r.n_sales / n for r in results])
     point = 1.0 - float(fracs.mean())
     se = float(fracs.std(ddof=1)) / math.sqrt(len(fracs))
-    _check_level(level)
-    z = float(_ndtri(0.5 + level / 2.0))
+    z = float(_ndtri(0.5 + _LEVEL / 2.0))
     return EstimateWithCI(point, point - z * se, point + z * se,
-                          len(results), level)
+                          len(results), _LEVEL)
 
 
 def estimate_b(results_by_n: dict[int, list[ReplicaResult]],
-               level: float = 0.95, n_bootstrap: int = 500,
-               seed: int = 0) -> EstimateWithCI:
+               n_bootstrap: int = 500, seed: int = 0) -> EstimateWithCI:
     """Slope of var(n_sales) versus N through the origin.
 
     Weighted least squares with inverse variance-of-variance weights
@@ -210,18 +205,18 @@ def estimate_b(results_by_n: dict[int, list[ReplicaResult]],
         w = (r - 1.0) / (2.0 * np.maximum(v, floor) ** 2)
         return (w * ns * v).sum(axis=-1) / (w * ns * ns).sum(axis=-1)
 
-    return _bootstrap_ci(slope_of, counts, level, n_bootstrap, seed)
+    return _bootstrap_ci(slope_of, counts, n_bootstrap, seed)
 
 
-def estimate_af(results: list[ReplicaResult], level: float = 0.95,
-                n_bootstrap: int = 500, seed: int = 0) -> EstimateWithCI:
+def estimate_af(results: list[ReplicaResult], n_bootstrap: int = 500,
+                seed: int = 0) -> EstimateWithCI:
     """Per-bid income variance: var(total_income) / N, bootstrap CI."""
     if len(results) < 200:
         raise InsufficientDataError(f"need >= 200 replicas, got {len(results)}")
     n = _check_uniform_n(results)
     ti = np.array([r.total_income for r in results])
     return _bootstrap_ci(lambda s: s[n].var(axis=-1, ddof=1) / n, {n: ti},
-                         level, n_bootstrap, seed)
+                         n_bootstrap, seed)
 
 
 class NormalityDiagnostics(NamedTuple):

@@ -106,8 +106,16 @@ def test_theory_summary_refuses_a_variance_not_above_zero(spec):
     (lambda: quantile(LogNormal(0, 0.3), math.nan), r"must be in \[0, 1\), got nan"),
     (lambda: empirical_critical_price([1.0, math.nan, 3.0]),
      "prices must be finite and > 0, got nan"),
+    (lambda: empirical_critical_price([1.0, 0.0, math.nan]),
+     "prices must be finite and > 0, got 0.0"),
+    (lambda: empirical_critical_price([1.0, 2.0, -math.inf]),
+     "prices must be finite and > 0, got -inf"),
+    (lambda: empirical_critical_price([[1.0, 2.0], [3.0, math.nan]]),
+     "prices must be finite and > 0, got nan"),
     (lambda: ks_critical_value(math.nan), "n must be positive, got nan"),
-], ids=["quantile", "empirical_critical_price", "ks_critical_value"])
+], ids=["quantile", "empirical_critical_price", "empirical_critical_price-zero",
+        "empirical_critical_price-minus_inf", "empirical_critical_price-2d",
+        "ks_critical_value"])
 def test_nan_fails_the_range_check(call, message):
     with pytest.raises(ValueError, match=message):
         call()

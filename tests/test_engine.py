@@ -403,7 +403,7 @@ def test_income_overflow_in_a_middle_range_is_a_named_error(backend):
     for rule in (Rule.CLASSIC, Rule.TWO_CONSECUTIVE):
         ends = iter([2, 5, 7, 8, 10])
         with pytest.raises(ValueError, match="total income overflows a double"):
-            engine._run_ranges(rule, prices, ends, False)
+            engine._run_ranges(rule, prices, ends)
         assert list(ends) == ([8, 10] if backend == "c" else [])
 
 
@@ -583,20 +583,18 @@ def _cut_runs(draw):
 # range ends on each side of that bid
 @example(run=([2.5] * 5_000, [1, 2, 3, 4_159, 4_160, 5_000]))
 def test_kernel_fold_in_ranges_is_the_whole_fold(run):
+    # every rule, folded over the cuts, gives the one-range fold and the
+    # Python fold; the kernel's pool also comes in the same order
     prices, ends = run
     arr = np.asarray(prices, dtype=float)
-    for two_consecutive in (False, True):
-        parts = engine._fold_run(arr, two_consecutive, ends)
-        whole = engine._fold_run(arr, two_consecutive, (len(arr),))
-        for x, y in zip(parts, whole):  # sales, pool in its order, income
-            assert np.array_equal(x, y)
+    for rule in Rule:
+        parts = engine._run_ranges(rule, arr, ends)
+        whole = engine._run_ranges(rule, arr, (len(arr),))
+        assert_same_run(parts, whole)
+        assert np.array_equal(parts._pool, whole._pool)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(_kernel, "load", lambda: None)
-            python = engine._fold_run(arr, two_consecutive, ends)
-        for x, y in zip(parts[:3], python[:3]):
-            assert np.array_equal(x, y)
-        assert np.array_equal(np.sort(parts[3]), np.sort(python[3]))
-        assert parts[4] == python[4]
+            assert_same_run(engine._run_ranges(rule, arr, ends), parts)
 
 
 def test_fold_falls_back_when_kernel_cannot_be_built(tmp_path, monkeypatch):

@@ -389,13 +389,7 @@ def test_estimate_af_errors():
 
 
 @pytest.mark.parametrize("estimator, kwargs, name", [
-    (estimate_pc, {"level": 1.5}, "level"),
-    (estimate_pc, {"level": -1.0}, "level"),
-    (estimate_pc, {"level": 1.0}, "level"),
-    (estimate_pc, {"level": math.nan}, "level"),
-    (estimate_b, {"level": 0.0}, "level"),
     (estimate_b, {"n_bootstrap": 0}, "n_bootstrap"),
-    (estimate_af, {"level": 2.0}, "level"),
     (estimate_af, {"n_bootstrap": 0}, "n_bootstrap"),
     (estimate_af, {"n_bootstrap": -3}, "n_bootstrap"),
 ])
